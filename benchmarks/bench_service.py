@@ -1,18 +1,22 @@
 """Latency/throughput snapshot of the encode service (BENCH_PR7.json).
 
-Boots the service in-process (real HTTP over loopback, real spawn
-workers) and measures the four serving regimes against each other:
+Boots the service in-process (real HTTP over loopback, real worker
+processes) and measures the four serving regimes against each other:
 
 * **cold**     — distinct fingerprints, empty cache: every request
-  pays admission + one worker spawn + the full pipeline;
+  pays admission + one worker attempt + the full pipeline (only the
+  first attempts on each worker pay its interpreter start-up);
 * **warm**     — the same requests again: answered from the in-process
   memory tier, no admission, no worker;
 * **coalesced**— N concurrent clients, one fresh fingerprint: one
-  worker spawn serves all N;
+  worker attempt serves all N;
 * **uncoalesced baseline** — the same N requests strictly one after
   another with the cache off: what coalescing saves;
 * **overload** — a burst of cold requests against one worker and a
   short queue: how fast the 429s come back while the slot is busy.
+
+``worker_spawns`` counts attempts dispatched to a worker,
+``worker_starts`` the worker interpreters actually booted.
 
 Usage::
 
@@ -103,6 +107,8 @@ async def bench(machines: List[str], coalesce_n: int) -> Dict:
     out["coalesced"] = {
         "clients": coalesce_n,
         "worker_spawns": spawns_for_burst,
+        # interpreters booted over the whole cold/warm/coalesced run
+        "worker_starts": svc.stats.worker_starts,
         "wall_ms": round(coalesced_wall * 1000, 3),
         **{k: v for k, v in percentiles(
             [dt for _s, _p, dt in results]).items() if k != "n"},
@@ -123,6 +129,7 @@ async def bench(machines: List[str], coalesce_n: int) -> Dict:
     out["uncoalesced"] = {
         "clients": coalesce_n,
         "worker_spawns": svc2.stats.worker_spawns,
+        "worker_starts": svc2.stats.worker_starts,
         "wall_ms": round(uncoalesced_wall * 1000, 3),
     }
     out["coalescing_speedup"] = round(

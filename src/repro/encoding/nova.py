@@ -344,6 +344,11 @@ def _evaluate(pipe: _Pipeline, enc: Encoding,
     fsm, report = pipe.fsm, pipe.report
     with report.stage("evaluate"):
         try:
+            if pipe.budget is not None:
+                # espresso's first expand+irredundant pass runs before
+                # its first budget check: an already-expired deadline
+                # would otherwise be overrun by a whole minimization
+                pipe.budget.check_time()
             return evaluate_encoding(fsm, enc, symbol_enc, out_symbol_enc,
                                      effort=pipe.effort, budget=pipe.budget)
         except BudgetExhausted as exc:

@@ -1,8 +1,8 @@
 """Crash-safe parallel batch-encoding engine.
 
 One :class:`BatchRunner` fans a list of :class:`BatchTask` out over a
-pool of isolated worker *processes* (``multiprocessing`` spawn
-context), enforces a per-task hard wall-clock timeout by killing the
+pool of isolated, reusable worker *processes* (``multiprocessing``
+spawn context), enforces a per-task hard wall-clock timeout by killing the
 worker, retries failed or killed tasks down the degradation ladder
 (``iexact → ihybrid → igreedy → onehot``), and journals every outcome
 as one durable JSON line so a crashed or interrupted run resumes
@@ -20,8 +20,10 @@ Layout
     The engine: task model, scheduling loop, hard kills, retry ladder,
     and the work-stealing claim loop.
 ``worker``
-    The child-process side: load the machine, arm injected faults, run
-    the pipeline, ship a JSON-safe outcome back over a pipe.
+    The worker process loop (load the machine, arm injected faults, run
+    the pipeline, ship a JSON-safe outcome back over a pipe, repeat
+    until retired) and the parent-side :class:`~repro.runner.worker.Worker`
+    handle the encode service's pool shares.
 ``journal``
     Durability: fsync'd append-only journal shards (flock-guarded,
     single writer each), the fencing merge, plus an atomic

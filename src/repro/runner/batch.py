@@ -15,9 +15,13 @@ process.
 Crash safety is asymmetric by design: workers never touch the journal;
 the parent appends one durable line per finished task.  A parent killed
 mid-run leaves a valid journal prefix, and ``resume`` skips exactly the
-journaled task ids.  Workers are spawned (not forked) so each attempt
-starts from a clean interpreter — no inherited caches, no half-poisoned
-state from a previous fault.
+journaled task ids.  Workers are spawned (not forked), so none inherits
+the parent's caches, and are reused across tasks: the runner keeps up
+to ``jobs`` idle workers and closes every one before :meth:`run`
+returns.  A worker that ran a fault-armed attempt or any attempt that
+did not end ``ok``/``degraded`` retires instead of being reused, and a
+killed or crashed worker is simply gone (:mod:`repro.runner.worker`),
+so no half-poisoned state from a previous fault reaches the next task.
 
 The *joined* mode (``BatchRunner.join`` / ``nova batch --join``)
 generalizes this to N cooperating parents: each claimant process takes
@@ -60,7 +64,7 @@ from repro.runner.lease import (
     default_claimant,
 )
 from repro.runner.report import BatchReport, aggregate
-from repro.runner.worker import child_main
+from repro.runner.worker import Worker, take_idle
 
 #: Attempt terminal states the parent can classify.
 KILLED_TIMEOUT = "timeout"
@@ -105,7 +109,8 @@ class BatchTask:
     ``table`` picks which).  ``faults`` carries serialized
     :class:`repro.testing.faults.Fault` specs armed inside the worker —
     the robustness tests' handle for planting hangs and crashes.  Each
-    attempt arms a *fresh* plan (workers are new processes), so fired
+    attempt arms a *fresh* plan (a worker that armed faults retires
+    after the attempt, so a retry runs on a new process), so fired
     counters don't carry across retries; scope a transient fault with
     ``match={"algorithm": ...}`` on the ladder rung it should hit.
     """
@@ -161,20 +166,20 @@ class BatchTask:
 
 
 class _Active:
-    """Book-keeping for one in-flight worker process."""
+    """Book-keeping for one in-flight attempt on a worker process."""
 
-    __slots__ = ("task", "attempt", "proc", "conn", "deadline",
+    __slots__ = ("task", "attempt", "worker", "deadline",
                  "started", "task_t0", "attempts", "lease", "epoch")
 
-    def __init__(self, task: BatchTask, attempt: int, proc, conn,
+    def __init__(self, task: BatchTask, attempt: int,
+                 worker: Optional[Worker],
                  deadline: Optional[float], task_t0: float,
                  attempts: List[Dict],
                  lease: Optional[Lease] = None,
                  epoch: Optional[int] = None) -> None:
         self.task = task
         self.attempt = attempt  # 0-based attempt index
-        self.proc = proc
-        self.conn = conn
+        self.worker = worker  # None once the attempt has finished
         self.deadline = deadline
         self.started = time.monotonic()
         self.task_t0 = task_t0
@@ -197,13 +202,14 @@ class BatchRunner:
     Parameters
     ----------
     jobs:
-        Maximum concurrent worker processes.
+        Maximum concurrent worker processes (also the most kept idle
+        for reuse).
     task_timeout:
         Hard wall-clock seconds per *attempt*; on expiry the worker is
         SIGKILLed and the task retried at the next ladder rung.
     retries:
         Extra attempts after the first (so ``retries=2`` means at most
-        3 processes per task).
+        3 attempts per task).
     fail_fast:
         Stop scheduling and kill in-flight work as soon as one task
         exhausts its attempts.
@@ -261,6 +267,7 @@ class BatchRunner:
                                    else float(heartbeat_interval))
         self._leases: Optional[LeaseDir] = None
         self._ctx = get_context("spawn")
+        self._idle: List[Worker] = []  # finished workers kept for reuse
 
     # ------------------------------------------------------------------
     @classmethod
@@ -390,14 +397,14 @@ class BatchRunner:
     def _serve_cached(self, task: BatchTask, journal: Journal,
                       lease: Optional[Lease] = None) -> bool:
         """Parent-side cache short-circuit: journal an already-cached
-        encode result without paying a worker spawn.
+        encode result without dispatching it to a worker.
 
-        A hit costs one disk read + JSON decode (~ms) against ~0.3 s of
-        interpreter start-up per spawned worker, which is what makes a
-        warm sweep of small machines an order of magnitude faster than
-        a cold one.  Anything unexpected — uncacheable options, a miss,
-        a decode failure — falls through to the normal worker path, so
-        this can only ever skip work, never change a result.
+        A hit costs one disk read + JSON decode (~ms) against a pipe
+        round trip to a worker — and ~0.2 s of interpreter start-up
+        when no idle worker is left to reuse.  Anything unexpected —
+        uncacheable options, a miss, a decode failure — falls through
+        to the normal worker path, so this can only ever skip work,
+        never change a result.
         """
         if task.kind != "encode" or task.faults:
             return False
@@ -429,29 +436,39 @@ class BatchRunner:
         status = ("degraded" if result.report is not None
                   and result.report.degraded else "ok")
         elapsed = round(time.monotonic() - task_t0, 6)
-        a = _Active(task, 0, None, None, None, task_t0, [{
+        a = _Active(task, 0, None, None, task_t0, [{
             "algorithm": task.algorithm, "status": status, "killed": None,
             "exitcode": None, "error": None, "elapsed": elapsed,
+            "pid": None,
         }], lease=lease)
         self._journal_final(a, journal, status, record=result.to_record(),
                             perf={}, cache_hit=True)
         return True
 
-    def _spawn(self, task: BatchTask, attempt: int, task_t0: float,
-               attempts: List[Dict], lease: Optional[Lease] = None,
-               epoch: Optional[int] = None) -> _Active:
+    def _dispatch(self, task: BatchTask, attempt: int, task_t0: float,
+                  attempts: List[Dict], lease: Optional[Lease] = None,
+                  epoch: Optional[int] = None) -> _Active:
+        """Send one attempt to an idle worker, or to a fresh one."""
         spec = task.spec()
         ladder = task.ladder()
         spec["algorithm"] = ladder[min(attempt, len(ladder) - 1)]
-        recv, send = self._ctx.Pipe(duplex=False)
-        proc = self._ctx.Process(target=child_main, args=(spec, send),
-                                 daemon=True)
-        proc.start()
-        send.close()  # parent keeps only the read end → EOF is reliable
+        worker = take_idle(self._idle) or Worker(self._ctx)
+        worker.send(spec)
         deadline = (None if self.task_timeout is None
                     else time.monotonic() + self.task_timeout)
-        return _Active(task, attempt, proc, recv, deadline, task_t0,
+        return _Active(task, attempt, worker, deadline, task_t0,
                        attempts, lease=lease, epoch=epoch)
+
+    def _close_workers(self, active: List[_Active]) -> None:
+        """Kill every worker this runner started, in flight or idle (an
+        idle worker holds nothing worth a graceful exit)."""
+        for a in active:
+            if a.worker is not None:
+                a.worker.retire(kill=True)
+                a.worker = None
+        idle, self._idle = self._idle, []
+        for worker in idle:
+            worker.retire(kill=True)
 
     # ------------------------------------------------------------------
     def run(self) -> BatchReport:
@@ -485,29 +502,17 @@ class BatchRunner:
                         task = pending.pop()
                         if self._serve_cached(task, journal):
                             continue
-                        active.append(self._spawn(task, 0, time.monotonic(),
-                                                  []))
+                        active.append(self._dispatch(
+                            task, 0, time.monotonic(), []))
                     self._poll(active, journal)
-                    finished = [a for a in active if a.proc is None]
-                    active = [a for a in active if a.proc is not None]
-                    for a in finished:
-                        if a.attempts[-1]["status"] in ("ok", "degraded"):
-                            continue
-                        if a.attempt < self.retries:
-                            active.append(self._spawn(
-                                a.task, a.attempt + 1, a.task_t0, a.attempts))
-                        else:
-                            failed_any = True
-                            if self.fail_fast:
-                                raise _FailFast(a.task.task_id)
+                    failed_any |= self._retry_or_fail(active)
             except _FailFast as stop:
-                for a in active:
-                    a.proc.kill()
-                    a.proc.join()
-                    a.conn.close()
+                self._close_workers(active)
                 write_manifest(self.run_dir, self._manifest("failed"))
                 self.progress(f"fail-fast: stopping after {stop}")
                 return self._report(t0, interrupted=True)
+            finally:
+                self._close_workers(active)
         write_manifest(self.run_dir,
                        self._manifest("failed" if failed_any else "complete"))
         return self._report(t0)
@@ -563,8 +568,8 @@ class BatchRunner:
                         task = by_id[task_id]
                         if self._serve_cached(task, journal, lease=lease):
                             continue
-                        active.append(self._spawn(task, 0, time.monotonic(),
-                                                  [], lease=lease))
+                        active.append(self._dispatch(
+                            task, 0, time.monotonic(), [], lease=lease))
                     if not active:
                         if not claimed_work:
                             # everything unfinished is held live by other
@@ -593,24 +598,10 @@ class BatchRunner:
                                 a.lease = None
                             else:
                                 a.lease = renewed
-                    finished = [a for a in active if a.proc is None]
-                    active = [a for a in active if a.proc is not None]
-                    for a in finished:
-                        if a.attempts[-1]["status"] in ("ok", "degraded"):
-                            continue
-                        if a.attempt < self.retries:
-                            active.append(self._spawn(
-                                a.task, a.attempt + 1, a.task_t0, a.attempts,
-                                lease=a.lease, epoch=a.epoch))
-                        else:
-                            failed_any = True
-                            if self.fail_fast:
-                                raise _FailFast(a.task.task_id)
+                    failed_any |= self._retry_or_fail(active)
         except _FailFast as stop:
+            self._close_workers(active)
             for a in active:
-                a.proc.kill()
-                a.proc.join()
-                a.conn.close()
                 if a.lease is not None:
                     leases.release(a.lease)
             # no manifest rewrite: other claimants keep running — fail
@@ -618,6 +609,7 @@ class BatchRunner:
             self.progress(f"fail-fast: this claimant stops after {stop}")
             return self._report(t0, interrupted=True)
         finally:
+            self._close_workers(active)
             self._leases = None
         merged = merge_results(self.run_dir)
         failed_any = failed_any or any(
@@ -664,8 +656,8 @@ class BatchRunner:
     def _poll(self, active: List[_Active], journal: Journal) -> None:
         """Wait for one completion/EOF/deadline; finalize what finished.
 
-        Entries whose process finished are marked by ``a.proc = None``;
-        the caller decides between retry and final journaling.
+        Attempts that finished are marked by ``a.worker = None``; the
+        worker itself went back to the idle list or was retired.
         """
         if not active:
             return
@@ -674,20 +666,44 @@ class BatchRunner:
         for a in active:
             if a.deadline is not None:
                 timeout = min(timeout, max(0.0, a.deadline - now))
-        ready = set(conn_wait([a.conn for a in active], timeout=timeout))
+        ready = set(conn_wait([a.worker.conn for a in active],
+                              timeout=timeout))
         now = time.monotonic()
         for a in active:
-            if a.conn in ready:
-                try:
-                    outcome = a.conn.recv()
-                except (EOFError, OSError):
+            worker = a.worker
+            if worker.conn in ready:
+                outcome = worker.recv()
+                if outcome is None:
                     self._reap(a, journal, status="crashed")
                     continue
                 self._finish(a, journal, outcome)
             elif a.deadline is not None and now > a.deadline:
-                a.proc.kill()
+                worker.retire(kill=True)
                 self._reap(a, journal, status="killed",
                            killed=KILLED_TIMEOUT)
+
+    def _retry_or_fail(self, active: List[_Active]) -> bool:
+        """Drop finished attempts from *active* (in place), dispatching
+        the next ladder rung for each failed one with retries left.
+
+        Returns whether a task failed for good; under ``fail_fast`` that
+        raises :class:`_FailFast` instead.
+        """
+        finished = [a for a in active if a.worker is None]
+        active[:] = [a for a in active if a.worker is not None]
+        failed = False
+        for a in finished:
+            if a.attempts[-1]["status"] in ("ok", "degraded"):
+                continue
+            if a.attempt < self.retries:
+                active.append(self._dispatch(
+                    a.task, a.attempt + 1, a.task_t0, a.attempts,
+                    lease=a.lease, epoch=a.epoch))
+            else:
+                failed = True
+                if self.fail_fast:
+                    raise _FailFast(a.task.task_id)
+        return failed
 
     def _attempt_record(self, a: _Active, status: str, *,
                         killed: Optional[str] = None,
@@ -702,16 +718,21 @@ class BatchRunner:
             "error": error,
             "elapsed": round(time.monotonic() - a.started
                              if elapsed is None else elapsed, 6),
+            "pid": a.worker.pid if a.worker is not None else None,
         }
 
     def _finish(self, a: _Active, journal: Journal, outcome: Dict) -> None:
         """A worker reported a result (success, degraded, or error)."""
-        a.proc.join()
-        a.conn.close()
+        worker = a.worker
+        if worker.reusable:
+            self._idle.append(worker)
+        else:
+            worker.retire()
         status = outcome.get("status", "error")
         a.attempts.append(self._attempt_record(
             a, status, error=outcome.get("error"),
             elapsed=outcome.get("elapsed")))
+        a.worker = None
         if status in ("ok", "degraded"):
             self._journal_final(a, journal, status,
                                 record=outcome.get("record"),
@@ -720,19 +741,16 @@ class BatchRunner:
         elif a.attempt >= self.retries:
             self._journal_final(a, journal, "failed",
                                 error=outcome.get("error"))
-        a.proc = None
 
     def _reap(self, a: _Active, journal: Journal, status: str,
               killed: Optional[str] = None) -> None:
-        """A worker died without reporting (kill, crash, or OOM)."""
-        a.proc.join()
-        exitcode = a.proc.exitcode
-        a.conn.close()
+        """A worker died without reporting (kill, crash, or OOM); it is
+        already retired and reaped."""
         a.attempts.append(self._attempt_record(
-            a, status, killed=killed, exitcode=exitcode))
+            a, status, killed=killed, exitcode=a.worker.exitcode))
+        a.worker = None
         if a.attempt >= self.retries:
             self._journal_final(a, journal, "failed")
-        a.proc = None
 
     def _journal_final(self, a: _Active, journal: Journal, status: str,
                        record: Optional[Dict] = None,

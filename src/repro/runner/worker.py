@@ -1,31 +1,61 @@
-"""The child-process half of the batch runner.
+"""Worker processes shared by the batch runner and the encode service.
 
-Each task attempt runs in a freshly spawned process whose entry point
-is :func:`child_main`.  The worker rebuilds the task from its JSON-safe
-spec, arms any injected faults (the parent ships
-:meth:`repro.testing.faults.Fault.to_dict` specs inside the task, which
-is how the hang/crash robustness tests reach across the process
-boundary), runs the pipeline under a perf collector, and ships one
-JSON-safe outcome dict back over the pipe:
+A worker is a spawned interpreter whose entry point is
+:func:`child_main`: a loop that receives one JSON-safe task spec at a
+time, runs it through :func:`execute`, and sends back one JSON-safe
+outcome dict:
 
 ``{"status": "ok" | "degraded" | "error", "record": ..., "perf": ...,
 "error": ..., "elapsed": ...}``
 
-Everything crossing the pipe is primitives — no FSM, no covers — so
-transport can never hit a pickling edge case.  If the process dies
-without sending (a hard hang killed by the parent, an ``os._exit``, a
-real segfault or OOM kill), the parent observes EOF/exit and classifies
-the attempt itself; the journal is written only by the parent.
+The worker rebuilds the task from its spec, arms any injected faults
+(the parent ships :meth:`repro.testing.faults.Fault.to_dict` specs
+inside the task, which is how the hang/crash robustness tests reach
+across the process boundary), and runs the pipeline under a perf
+collector.  Everything crossing the pipe is primitives — no FSM, no
+covers — so transport can never hit a pickling edge case.
+
+Workers are reused, which saves the ~0.2 s interpreter start-up and
+``repro`` import on every attempt after a worker's first.  A worker
+*retires* — exits, and is never handed another spec — after any
+attempt whose spec armed faults or whose outcome was not
+``ok``/``degraded`` (:func:`reusable`); both ends apply that rule, so
+an interpreter that may be poisoned never serves another task.  If the
+process dies without sending (a hard hang killed by the parent, an
+``os._exit``, a real segfault or OOM kill), the parent observes EOF
+and classifies the attempt itself; a killed or crashed worker is
+simply gone.  Workers never write the journal — the parent does.
+
+:class:`Worker` is the parent-side handle: start, send a spec, wait on
+``conn`` (a :func:`multiprocessing.connection.wait` target), receive,
+kill, retire.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict
+from typing import Dict, List, Optional
 
 from repro import perf
 from repro.errors import ReproError, error_to_dict
 from repro.testing import faults
+
+#: Outcome statuses after which a worker may run another attempt.
+REUSABLE_STATUSES = ("ok", "degraded")
+
+#: Seconds a retired worker gets to exit on its own before a SIGKILL.
+RETIRE_GRACE = 5.0
+
+
+def reusable(spec: Dict, outcome: Dict) -> bool:
+    """Whether the worker that ran *spec* may run another attempt.
+
+    Armed faults leave state behind in the worker's fault plan, and an
+    attempt that errored may have left anything half-built; both retire
+    the worker rather than risk carrying that into the next task.
+    """
+    return (not spec.get("faults")
+            and outcome.get("status") in REUSABLE_STATUSES)
 
 
 def _load_fsm(machine: str):
@@ -81,8 +111,8 @@ def _run_encode(spec: Dict) -> Dict:
            "cache_hit": bool(report is not None and report.cache_hit)}
     if spec.get("want_payload"):
         # the encode service warms its own in-process cache tier from
-        # this (a worker's memory LRU dies with the worker); same rule
-        # as the encode path — a wall-clock-shaped result is never
+        # this (the worker's memory LRU is not the service's); same
+        # rule as the encode path — a wall-clock-shaped result is never
         # cache material
         from repro import cache as cache_mod
 
@@ -103,22 +133,119 @@ def _run_table(spec: Dict) -> Dict:
     return {"status": "ok", "record": {"row": row}}
 
 
-def child_main(spec: Dict, conn) -> None:
-    """Spawned-process entry: execute and ship the outcome.
+def child_main(conn) -> None:
+    """Worker-process entry: run specs from *conn* until retired.
 
-    Must stay exception-proof: any error that escapes ``execute`` is
-    itself serialized, and a send failure (parent already gone) exits
-    quietly — an orphan must never corrupt anything.
+    Exits when the parent closes its end (EOF) or after an attempt
+    that :func:`reusable` rejects.  Must stay exception-proof: any
+    error that escapes ``execute`` is itself serialized, and a send
+    failure (parent already gone) exits quietly — an orphan must never
+    corrupt anything.
     """
     try:
-        try:
-            outcome = execute(spec)
-        except BaseException as exc:  # pragma: no cover - belt & braces
-            outcome = {"task": spec.get("task"),
-                       "algorithm": spec.get("algorithm"),
-                       "status": "error", "error": error_to_dict(exc),
-                       "perf": {}, "elapsed": 0.0}
-        conn.send(outcome)
-        conn.close()
+        while True:
+            try:
+                spec = conn.recv()
+            except EOFError:
+                return  # retired by the parent, or the parent is gone
+            try:
+                outcome = execute(spec)
+            except BaseException as exc:  # pragma: no cover - belt & braces
+                outcome = {"task": spec.get("task"),
+                           "algorithm": spec.get("algorithm"),
+                           "status": "error", "error": error_to_dict(exc),
+                           "perf": {}, "elapsed": 0.0}
+            conn.send(outcome)
+            if not reusable(spec, outcome):
+                return
     except (BrokenPipeError, EOFError, OSError):  # pragma: no cover
         pass
+    finally:
+        conn.close()
+
+
+class Worker:
+    """Parent-side handle on one worker process.
+
+    The owner (one batch runner, or one pool thread at a time) sends a
+    spec, waits on :attr:`conn`, and calls :meth:`recv`; afterwards
+    :attr:`reusable` says whether the worker may take the next spec or
+    must be retired.  :meth:`kill` is the one method safe to call from
+    a thread that does not own the worker (the pool's shutdown).
+    """
+
+    def __init__(self, ctx) -> None:
+        self.conn, child_end = ctx.Pipe()
+        self.proc = ctx.Process(target=child_main, args=(child_end,),
+                                daemon=True)
+        self.proc.start()
+        child_end.close()  # keep only the parent's end: EOF is reliable
+        self._spec: Dict = {}
+        self.reusable = False
+
+    @property
+    def pid(self) -> Optional[int]:
+        return self.proc.pid
+
+    @property
+    def exitcode(self) -> Optional[int]:
+        return self.proc.exitcode
+
+    def alive(self) -> bool:
+        return self.proc.is_alive()
+
+    def send(self, spec: Dict) -> None:
+        """Start one attempt.  A worker that died while idle cannot
+        take it; its next :meth:`recv` then reads EOF — a crash."""
+        self._spec = spec
+        self.reusable = False
+        try:
+            self.conn.send(spec)
+        except OSError:
+            pass
+
+    def recv(self) -> Optional[Dict]:
+        """The attempt's outcome once :attr:`conn` is ready, or None if
+        the worker died without one (it is then retired and reaped, so
+        :attr:`exitcode` is set)."""
+        try:
+            outcome = self.conn.recv()
+        except (EOFError, OSError):
+            self.retire()
+            return None
+        self.reusable = reusable(self._spec, outcome)
+        return outcome
+
+    def kill(self) -> None:
+        """SIGKILL the process and reap it.  The owner still calls
+        :meth:`retire` to release the pipe."""
+        self.proc.kill()
+        self.proc.join()
+
+    def retire(self, kill: bool = False) -> None:
+        """Close the pipe and reap the process; it is never reused.
+
+        A live worker reads EOF and exits on its own; ``kill=True``
+        (a missed deadline) SIGKILLs it first.
+        """
+        self.reusable = False
+        if kill:
+            self.kill()
+        self.conn.close()
+        self.proc.join(RETIRE_GRACE)
+        if self.proc.is_alive():  # pragma: no cover - wedged on exit
+            self.kill()
+
+
+def take_idle(idle: List[Worker]) -> Optional[Worker]:
+    """Pop the most recently idled live worker from *idle*, or None.
+
+    A worker that died while idle (an OOM kill, a stray signal) is
+    retired rather than handed an attempt it would report as a crash.
+    """
+    while idle:
+        worker = idle.pop()
+        if worker.alive():
+            return worker
+        worker.retire()
+    return None

@@ -5,7 +5,7 @@ The package splits the server into one module per robustness concern
 
 ``singleflight``  one computation per in-flight fingerprint
 ``admission``     bounded queue, prompt 429s, Retry-After model
-``pool``          spawn workers with a hard wall-clock kill
+``pool``          reusable workers with a hard wall-clock kill
 ``service``       the request core tying the three together
 ``stats``         the ``/stats`` counters
 ``app``           stdlib HTTP transport, slow-client guard, shutdown

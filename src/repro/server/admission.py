@@ -1,6 +1,6 @@
 """Admission control: a bounded waiting room in front of the workers.
 
-Cold encodes are expensive (a spawned process each); unbounded
+Cold encodes are expensive (a worker process each); unbounded
 acceptance under a burst would stack up queued work far beyond any
 client's patience and take the event loop down with it.  The controller
 enforces two numbers:

@@ -15,7 +15,7 @@ Two things the transport layer *does* own:
 * **Graceful shutdown** — :meth:`ServerApp.shutdown` stops accepting,
   lets in-flight handlers drain for ``drain_timeout`` seconds, cancels
   the stragglers, and hard-kills any still-live worker processes.  A
-  SIGTERM mid-burst therefore leaves no orphaned spawn workers (the
+  SIGTERM mid-burst therefore leaves no orphaned workers (the
   serve CLI test asserts exactly this by pid).
 """
 

@@ -1,13 +1,15 @@
-"""The service's spawn-worker pool: isolated encodes with a hard kill.
+"""The service's worker pool: isolated encodes with a hard kill.
 
-One cold request = one spawned process running
-:func:`repro.runner.worker.child_main` — exactly the PR 3 batch-runner
-entry point, reused unchanged, so every property that module guarantees
-(JSON-only pipe transport, exception-proof reporting, orphan-safe
-sends) holds here too.  What the pool adds is the *async* shape: the
-blocking spawn/poll/kill loop runs in a thread via
-``asyncio.to_thread``, so the event loop keeps serving warm traffic
-while workers grind.
+A cold request's attempt runs on a :class:`repro.runner.worker.Worker`
+— the batch runner's worker handle and :func:`child_main` loop, reused
+unchanged, so every property that module guarantees (JSON-only pipe
+transport, exception-proof reporting, orphan-safe sends, the retire
+rule) holds here too.  Workers outlive requests: one that finished an
+attempt ``ok``/``degraded`` without armed faults waits idle for the
+next cold request, so only the first attempts pay interpreter
+start-up.  What the pool adds is the *async* shape: the blocking
+send/poll/kill loop runs in a thread via ``asyncio.to_thread``, so the
+event loop keeps serving warm traffic while workers grind.
 
 The hard wall-clock kill sits **above** the cooperative
 :class:`~repro.perf.budget.Budget` the request's deadline maps onto
@@ -17,8 +19,8 @@ an allocation storm — that never reaches a budget check.  SIGKILL, not
 SIGTERM: a wedged worker may not run Python again.
 
 Shutdown is synchronous and total: :meth:`shutdown` refuses new work,
-SIGKILLs every live worker and joins it, so a served SIGTERM can
-guarantee "no orphaned spawn workers" to its supervisor.
+SIGKILLs every worker, idle or busy, and joins it, so a served SIGTERM
+can guarantee "no orphaned workers" to its supervisor.
 """
 
 from __future__ import annotations
@@ -27,10 +29,11 @@ import asyncio
 from multiprocessing import get_context
 import threading
 import time
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ServiceError
-from repro.runner.worker import child_main
+from repro.runner.worker import Worker, take_idle
+from repro.server.stats import ServerStats
 
 #: ``outcome["killed"]`` markers the pool itself produces.
 KILLED_TIMEOUT = "timeout"
@@ -41,11 +44,18 @@ _POLL_INTERVAL = 0.1
 
 
 class WorkerPool:
-    """Spawn-context workers, registered so shutdown can kill them all."""
+    """Reusable spawn-context workers, registered so shutdown can kill
+    them all.
 
-    def __init__(self) -> None:
+    The pool itself sets no size: admission control bounds concurrent
+    attempts, and so the number of workers, idle or busy.
+    """
+
+    def __init__(self, stats: Optional[ServerStats] = None) -> None:
         self._ctx = get_context("spawn")
-        self._live: Dict[int, object] = {}  # pid -> Process
+        self.stats = stats
+        self._idle: List[Worker] = []
+        self._busy: Dict[int, Worker] = {}  # pid -> worker
         self._lock = threading.Lock()
         self._closing = threading.Event()
 
@@ -55,9 +65,10 @@ class WorkerPool:
         return self._closing.is_set()
 
     def live_pids(self) -> List[int]:
-        """PIDs of currently running workers (for /stats and tests)."""
+        """PIDs of the pool's workers, idle and busy (for /stats and
+        tests)."""
         with self._lock:
-            return sorted(self._live)
+            return sorted([w.pid for w in self._idle] + list(self._busy))
 
     # ------------------------------------------------------------------
     async def run(self, spec: Dict,
@@ -71,72 +82,93 @@ class WorkerPool:
         report.  Raises :class:`ServiceError` only when the pool is
         already shutting down.
         """
-        return await asyncio.to_thread(self._run_blocking, spec,
-                                       hard_timeout)
+        outcome, started = await asyncio.to_thread(
+            self._run_blocking, spec, hard_timeout)
+        if started and self.stats is not None:
+            self.stats.worker_starts += 1  # on the loop thread
+        return outcome
+
+    def _checkout(self, machine: Optional[str]) -> Tuple[Worker, bool]:
+        """An idle live worker, or a freshly started one; registered as
+        busy.  Returns (worker, started)."""
+        with self._lock:
+            if self._closing.is_set():
+                raise ServiceError("worker pool is shutting down",
+                                   stage="dispatch", machine=machine)
+            worker = take_idle(self._idle)
+        started = worker is None
+        if worker is None:
+            worker = Worker(self._ctx)
+        with self._lock:
+            self._busy[worker.pid] = worker
+            closing = self._closing.is_set()
+        if closing:  # shutdown ran while this worker was starting
+            self._checkin(worker)
+            raise ServiceError("worker pool is shutting down",
+                               stage="dispatch", machine=machine)
+        return worker, started
+
+    def _checkin(self, worker: Worker) -> None:
+        """Unregister a worker after its attempt: keep it idle if it may
+        be reused and the pool is not shutting down, else retire it."""
+        with self._lock:
+            self._busy.pop(worker.pid, None)
+            keep = worker.reusable and not self._closing.is_set()
+            if keep:
+                self._idle.append(worker)
+        if not keep:
+            worker.retire(kill=True)
 
     def _run_blocking(self, spec: Dict,
-                      hard_timeout: Optional[float]) -> Dict:
-        if self._closing.is_set():
-            raise ServiceError("worker pool is shutting down",
-                               stage="dispatch",
-                               machine=spec.get("machine"))
-        recv, send = self._ctx.Pipe(duplex=False)
-        proc = self._ctx.Process(target=child_main, args=(spec, send),
-                                 daemon=True)
-        proc.start()
-        send.close()  # keep only the read end: EOF detection is reliable
-        with self._lock:
-            self._live[proc.pid] = proc
+                      hard_timeout: Optional[float]) -> Tuple[Dict, bool]:
+        worker, started = self._checkout(spec.get("machine"))
         deadline = (None if hard_timeout is None
                     else time.monotonic() + hard_timeout)
         try:
-            return self._watch(proc, recv, deadline)
+            worker.send(spec)
+            return self._watch(worker, deadline), started
         finally:
-            with self._lock:
-                self._live.pop(proc.pid, None)
-            recv.close()
+            self._checkin(worker)
 
-    def _watch(self, proc, recv, deadline: Optional[float]) -> Dict:
+    def _watch(self, worker: Worker, deadline: Optional[float]) -> Dict:
         """Poll until report, EOF, hard deadline, or pool shutdown."""
         while True:
             if self._closing.is_set():
-                proc.kill()
-                proc.join()
+                worker.retire(kill=True)
                 return {"status": "killed", "killed": KILLED_SHUTDOWN,
-                        "exitcode": proc.exitcode}
+                        "exitcode": worker.exitcode}
             timeout = _POLL_INTERVAL
             if deadline is not None:
                 timeout = min(timeout,
                               max(0.0, deadline - time.monotonic()))
-            if recv.poll(timeout):
-                try:
-                    outcome = recv.recv()
-                except (EOFError, OSError):
-                    proc.join()
-                    return {"status": "crashed",
-                            "exitcode": proc.exitcode}
-                proc.join()
-                return outcome
+            if worker.conn.poll(timeout):
+                outcome = worker.recv()
+                if outcome is not None:
+                    return outcome
+                if self._closing.is_set():  # killed by shutdown()
+                    return {"status": "killed", "killed": KILLED_SHUTDOWN,
+                            "exitcode": worker.exitcode}
+                return {"status": "crashed", "exitcode": worker.exitcode}
             if deadline is not None and time.monotonic() > deadline:
-                proc.kill()
-                proc.join()
+                worker.retire(kill=True)
                 return {"status": "killed", "killed": KILLED_TIMEOUT,
-                        "exitcode": proc.exitcode}
+                        "exitcode": worker.exitcode}
 
     # ------------------------------------------------------------------
     def shutdown(self) -> int:
-        """Refuse new work, SIGKILL and join every live worker.
+        """Refuse new work, SIGKILL and join every worker, idle or busy.
 
-        Returns how many workers were killed.  Idempotent; safe to call
-        from any thread (and from a signal-driven shutdown path).
+        Returns how many live workers were killed.  Idempotent; safe to
+        call from any thread (and from a signal-driven shutdown path).
+        A busy worker's pool thread sees the flag and releases its pipe.
         """
         self._closing.set()
         with self._lock:
-            procs = list(self._live.values())
-        killed = 0
-        for proc in procs:
-            if proc.is_alive():
-                proc.kill()
-                killed += 1
-            proc.join()
+            idle, self._idle = self._idle, []
+            busy = list(self._busy.values())
+        killed = sum(worker.alive() for worker in idle + busy)
+        for worker in idle:
+            worker.retire(kill=True)
+        for worker in busy:
+            worker.kill()
         return killed

@@ -10,13 +10,13 @@ is built around, applied in a fixed order per request:
    answers the host already has.
 2. **Single-flight.**  A cold fingerprint already being computed is
    attached to, not recomputed: N identical concurrent requests cost
-   one worker spawn and produce N identical responses.  Waiter
+   one worker attempt and produce N identical responses.  Waiter
    disconnects detach without killing the shared work
    (:mod:`repro.server.singleflight`).
 3. **Admission + degradation.**  Cold leaders pass through the bounded
    queue (:mod:`repro.server.admission`; full queue -> 429), then run
-   in a spawned worker (:mod:`repro.server.pool`) under two deadlines:
-   the request timeout maps onto the cooperative
+   on a pooled worker process (:mod:`repro.server.pool`) under two
+   deadlines: the request timeout maps onto the cooperative
    :class:`~repro.perf.budget.Budget` *inside* the worker — where
    :func:`~repro.encoding.nova.encode_fsm` already walks the
    iexact -> ihybrid -> igreedy -> onehot ladder and reports the
@@ -92,7 +92,8 @@ class EncodeService:
     Parameters
     ----------
     workers:
-        Concurrent cold computations (spawned worker processes).
+        Concurrent cold computations (worker processes, kept warm for
+        reuse between requests).
     queue_limit:
         Cold leaders allowed to wait for a worker slot; the next one
         gets a 429.
@@ -136,7 +137,7 @@ class EncodeService:
         self.cache_policy = cache_policy
         self.worker_faults = list(worker_faults or [])
         self.stats = ServerStats()
-        self.pool = WorkerPool()
+        self.pool = WorkerPool(stats=self.stats)
         self.admission = AdmissionController(workers, queue_limit,
                                              stats=self.stats)
         self.flight = SingleFlight()
@@ -266,8 +267,9 @@ class EncodeService:
         """Put a worker's result payload into this process's memory tier.
 
         The worker already filled the shared *disk* tier (when the
-        policy has one), but its in-process LRU died with it; without
-        this, repeat requests under a memory-only policy would never go
+        policy has one), but its in-process LRU is the worker's, not
+        this process's, and dies with it when it retires; without this,
+        repeat requests under a memory-only policy would never go
         warm.  The key is recomputed for the options the attempt
         actually ran with — identical to the request fingerprint on the
         first rung, distinct for retry rungs (their algorithm/timeout
@@ -286,10 +288,11 @@ class EncodeService:
     async def _run_ladder(self, fsm: FSM, kiss_text: Optional[str],
                           opts: EncodeOptions,
                           deadline: Optional[float]) -> Dict:
-        """Spawn workers down the degradation ladder until one answers.
+        """Dispatch attempts down the degradation ladder until one
+        answers.
 
         A healthy worker degrades *internally* (the cooperative budget
-        drives ``encode_fsm``'s own chain), so one spawn usually
+        drives ``encode_fsm``'s own chain), so one attempt usually
         suffices; the server-side walk only advances past workers that
         were hard-killed or crashed.
         """

@@ -35,7 +35,8 @@ _COUNTERS = (
     "detached",            # waiters that disconnected before the result
     # admission + workers
     "queue_rejects",       # admissions refused (queue at limit)
-    "worker_spawns",       # processes started
+    "worker_spawns",       # attempts dispatched to a worker
+    "worker_starts",       # worker interpreters booted (the rest reused)
     "worker_kills",        # hard wall-clock kills
     "worker_crashes",      # died without reporting (not a kill)
     "ladder_retries",      # server-side rung retries after kill/crash

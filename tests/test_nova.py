@@ -114,3 +114,53 @@ class TestQualityOrdering:
             encoded = encode_fsm(fsm, "ihybrid")
             onehot = encode_fsm(fsm, "onehot", evaluate=False)
             assert encoded.area <= onehot.area, name
+
+
+class TestExpiredDeadline:
+    """A deadline already gone when re-minimization starts skips espresso
+    (whose first expand+irredundant pass would run unbudgeted) and
+    reports the raw encoded cover instead."""
+
+    @staticmethod
+    def _evaluate(monkeypatch, budget):
+        import importlib
+
+        from repro.encoding import nova
+        from repro.encoding.onehot import onehot_code
+
+        # the package re-exports a function under the module's name
+        instantiate = importlib.import_module("repro.eval.instantiate")
+        calls = []
+        real = instantiate.espresso
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("budget"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(instantiate, "espresso", counting)
+        fsm = benchmark("lion")
+        report = nova.RunReport(machine=fsm.name,
+                                requested_algorithm="onehot", timeout=1.0)
+        pipe = nova._Pipeline(fsm, "full", report, budget)
+        pla = nova._evaluate(pipe, onehot_code(fsm.num_states), None, None)
+        return pla, report, calls
+
+    def test_expired_budget_skips_espresso(self, monkeypatch):
+        import time
+
+        from repro.perf.budget import Budget
+
+        expired = Budget(deadline=time.monotonic() - 1.0)
+        pla, report, calls = self._evaluate(monkeypatch, expired)
+        assert calls == []
+        assert report.unminimized and report.degraded
+        assert "re-minimization failed" in report.degradation_reason
+        assert pla.num_cubes > 0
+
+    def test_live_budget_still_minimizes(self, monkeypatch):
+        from repro.perf.budget import Budget
+
+        live = Budget(seconds=600.0)
+        pla, report, calls = self._evaluate(monkeypatch, live)
+        assert calls == [live]
+        assert not report.unminimized and not report.degraded
