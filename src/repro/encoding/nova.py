@@ -16,11 +16,17 @@ from the machine, skipping every optional stage.  Every run carries a
 :class:`RunReport` on the returned :class:`NovaResult` describing stage
 timings, fallbacks taken, and whether the post-encode verification
 gate confirmed the result.
+
+The MV minimization and the other algorithm-independent stages run
+once per encode — or once per :func:`shared_stages` block for all the
+encodes of one machine inside it, which is how a paper-table row runs
+several algorithms on the same constraints.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 import random
 import time
@@ -101,6 +107,8 @@ class RunReport:
     stage_seconds:
         Wall-clock per pipeline stage (``mv_min``, ``encode:<alg>``,
         ``evaluate``, ``verify``, ...), accumulated across attempts.
+        Inside a :func:`shared_stages` block ``mv_min``/``osym``
+        appear only on the encode that computed them.
     verified:
         True when the verification gate confirmed the returned PLA
         implements the machine; False when verification itself failed
@@ -291,10 +299,105 @@ def _encode_constraints(
     raise ValueError(f"unknown constraint algorithm {algorithm!r}")
 
 
+class _Stages:
+    """The algorithm-independent stages of one ``(fsm, effort)``.
+
+    The symbolic cover is built on construction; MV minimization with
+    constraint extraction, symbolic minimization and the output-symbol
+    encoding are computed on first use.  None of them depends on the
+    embedding algorithm, the budget or the seed, so every encode of the
+    same machine at the same effort may draw on one set (see
+    :func:`shared_stages`).  A stage that raises stores nothing: the
+    next caller recomputes it.  A computation's time is charged to the
+    report of the encode that ran it; an encode served a stored stage
+    records none.
+    """
+
+    def __init__(self, fsm: FSM, effort: str) -> None:
+        self.fsm = fsm
+        self.effort = effort
+        self.sc = build_symbolic_cover(fsm)
+        self._extraction: Optional[ExtractionResult] = None
+        self._symbolic = None
+        self._osym: Optional[Encoding] = None
+        self._osym_done = False
+
+    def extraction(self, report: RunReport) -> ExtractionResult:
+        if self._extraction is None:
+            with report.stage("mv_min"):
+                self._extraction = extract_input_constraints(
+                    self.sc, effort=self.effort)
+        return self._extraction
+
+    def symbolic(self, report: RunReport):
+        if self._symbolic is None:
+            with report.stage("mv_min"):
+                self._symbolic = symbolic_minimize(self.sc,
+                                                   effort=self.effort)
+        return self._symbolic
+
+    def out_symbol_enc(self, report: RunReport) -> Optional[Encoding]:
+        if not self._osym_done:
+            if self.fsm.has_symbolic_output:
+                from repro.encoding.osym import out_symbol_encoding
+
+                with report.stage("osym"):
+                    self._osym = out_symbol_encoding(self.sc,
+                                                     effort=self.effort)
+            self._osym_done = True
+        return self._osym
+
+
+#: The stage sets of the active :func:`shared_stages` block, keyed by
+#: ``(id(fsm), effort)``; ``None`` outside any block.  Each stored set
+#: holds its FSM, so no key's id can be reused while the block lives.
+_SHARED: ContextVar[Optional[Dict[Tuple[int, str], _Stages]]] = ContextVar(
+    "nova_shared_stages", default=None)
+
+
+@contextmanager
+def shared_stages() -> Iterator[None]:
+    """Share the algorithm-independent stages across the encodes of a block.
+
+    Inside the block, encodes of the same FSM *object* at the same
+    effort draw on one :class:`_Stages`, so the machine is MV-minimized
+    once however many embedding algorithms run on it — the shape of a
+    paper-table row.  Outside any block every encode builds its own.
+    The scope is a context variable: a new thread does not inherit it
+    (unless started in a copy of this context, as ``asyncio.to_thread``
+    does), and a nested block joins the enclosing one.  While a fault
+    plan is armed nothing is shared, so every encode reaches every trip
+    site.
+
+    Reuse ends with the block on purpose: ``cache="off"`` must still
+    mean recompute across table rows and across service requests.
+    """
+    if _SHARED.get() is not None:
+        yield
+        return
+    token = _SHARED.set({})
+    try:
+        yield
+    finally:
+        _SHARED.reset(token)
+
+
+def _stages_for(fsm: FSM, effort: str) -> _Stages:
+    """The stage set an encode of *fsm* at *effort* draws on."""
+    shared = _SHARED.get()
+    if shared is None or faults.ACTIVE is not None:
+        return _Stages(fsm, effort)
+    key = (id(fsm), effort)
+    stages = shared.get(key)
+    if stages is None:
+        stages = shared[key] = _Stages(fsm, effort)
+    return stages
+
+
 class _Pipeline:
-    """Shared state of one run: caches the algorithm-independent stages
-    (symbolic cover, MV constraint extraction, symbolic minimization,
-    output-symbol encoding) so fallback attempts don't repeat them."""
+    """Per-run state of one encode — its report, budget and degrade
+    policy — over the :class:`_Stages` it draws on, which its fallback
+    attempts share instead of repeating."""
 
     def __init__(self, fsm: FSM, effort: str, report: RunReport,
                  budget: Optional[Budget], degrade_ok: bool = True) -> None:
@@ -303,38 +406,23 @@ class _Pipeline:
         self.report = report
         self.budget = budget
         self.degrade_ok = degrade_ok
-        self.sc = build_symbolic_cover(fsm)
-        self._extraction: Optional[ExtractionResult] = None
-        self._symbolic = None
-        self._osym: Optional[Encoding] = None
-        self._osym_done = False
+        self.stages = _stages_for(fsm, effort)
+        self._extracted = False
 
     def extraction(self) -> ExtractionResult:
-        if self._extraction is None:
-            with self.report.stage("mv_min"):
-                self._extraction = extract_input_constraints(
-                    self.sc, effort=self.effort)
+        extraction = self.stages.extraction(self.report)
+        if not self._extracted:
+            # once per run, whether this run computed the stage or not
+            self._extracted = True
             if self.budget is not None:
                 self.budget.check_time()
-        return self._extraction
+        return extraction
 
     def symbolic(self):
-        if self._symbolic is None:
-            with self.report.stage("mv_min"):
-                self._symbolic = symbolic_minimize(self.sc,
-                                                   effort=self.effort)
-        return self._symbolic
+        return self.stages.symbolic(self.report)
 
     def out_symbol_enc(self) -> Optional[Encoding]:
-        if not self._osym_done:
-            if self.fsm.has_symbolic_output:
-                from repro.encoding.osym import out_symbol_encoding
-
-                with self.report.stage("osym"):
-                    self._osym = out_symbol_encoding(self.sc,
-                                                     effort=self.effort)
-            self._osym_done = True
-        return self._osym
+        return self.stages.out_symbol_enc(self.report)
 
 
 def _evaluate(pipe: _Pipeline, enc: Encoding,

@@ -4,6 +4,13 @@ Every benchmark under ``benchmarks/`` calls into this module, so the
 exact numbers behind EXPERIMENTS.md can also be regenerated from Python
 or the ``nova`` CLI.  Rows are plain dicts (easy to print and assert
 on); formatting lives in :func:`format_table`.
+
+Each row function (and :func:`random_columns`) runs inside one
+:func:`~repro.encoding.nova.shared_stages` block: the paper derives a
+row's constraints from a single MV minimization, so every encoder of
+the row — ihybrid, igreedy, KISS, iohybrid, the random trials — works
+from the same symbolic cover, constraints and symbolic minimization
+instead of recomputing them per call.
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ import random
 from typing import Dict, List, Optional, Sequence
 
 from repro.baselines.mustang import MUSTANG_OPTIONS
-from repro.encoding.nova import NovaResult, encode_fsm
+from repro.encoding.nova import NovaResult, encode_fsm, shared_stages
 from repro.eval.multilevel import multilevel_literals
 from repro.fsm.benchmarks import benchmark, benchmark_names, is_low_effort
 from repro.fsm.machine import minimum_code_length
@@ -54,6 +61,7 @@ def run(name: str, algorithm: str, **kwargs) -> NovaResult:
     return encode_fsm(fsm, algorithm, effort=_effort(name), **kwargs)
 
 
+@shared_stages()
 def random_columns(
     name: str,
     trials: Optional[int] = None,
@@ -94,15 +102,16 @@ def table1_rows(subset: str = "paper30") -> List[Dict]:
     return rows
 
 
+@shared_stages()
 def table2_row(name: str, include_iexact: bool = True) -> Dict:
     """Table II: iexact vs ihybrid vs igreedy vs 1-hot."""
     row: Dict = {"example": name}
     if include_iexact:
-        try:
-            r = run(name, "iexact")
+        r = run(name, "iexact")
+        if r.algorithm == "iexact":
             row.update(iexact_bits=r.bits, iexact_cubes=r.cubes,
                        iexact_area=r.area)
-        except RuntimeError:
+        else:  # iexact gave up and a fallback answered: not its numbers
             row.update(iexact_bits=None, iexact_cubes=None, iexact_area=None)
     for alg in ("ihybrid", "igreedy"):
         r = run(name, alg)
@@ -114,6 +123,7 @@ def table2_row(name: str, include_iexact: bool = True) -> Dict:
     return row
 
 
+@shared_stages()
 def table3_row(name: str, trials: Optional[int] = None) -> Dict:
     """Table III: best of ihybrid/igreedy vs KISS vs random."""
     row: Dict = {"example": name}
@@ -129,6 +139,7 @@ def table3_row(name: str, trials: Optional[int] = None) -> Dict:
     return row
 
 
+@shared_stages()
 def table4_row(name: str, trials: Optional[int] = None) -> Dict:
     """Table IV: iohybrid vs ihybrid/igreedy vs best-of-NOVA vs random."""
     row: Dict = {"example": name}
@@ -147,6 +158,7 @@ def table4_row(name: str, trials: Optional[int] = None) -> Dict:
     return row
 
 
+@shared_stages()
 def table5_row(name: str) -> Dict:
     """Table V: iohybrid vs the published Cappuccino/Cream numbers."""
     io = run(name, "iohybrid")
@@ -188,6 +200,7 @@ def table6_row(name: str) -> Dict:
     }
 
 
+@shared_stages()
 def table7_row(name: str, trials: Optional[int] = None) -> Dict:
     """Table VII: MUSTANG (best of -p/-n/-pt/-nt) vs NOVA, cubes + literals."""
     fsm = benchmark(name)

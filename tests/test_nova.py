@@ -164,3 +164,137 @@ class TestExpiredDeadline:
         pla, report, calls = self._evaluate(monkeypatch, live)
         assert calls == [live]
         assert not report.unminimized and not report.degraded
+
+
+class TestSharedStages:
+    """``shared_stages()`` reuses one machine's MV minimization across
+    the encodes of a block, and nowhere else."""
+
+    @staticmethod
+    def _count_extractions(monkeypatch):
+        from repro.encoding import nova
+
+        calls = []
+        real = nova.extract_input_constraints
+
+        def counting(sc, *args, **kwargs):
+            calls.append(sc.fsm)
+            return real(sc, *args, **kwargs)
+
+        monkeypatch.setattr(nova, "extract_input_constraints", counting)
+        return calls
+
+    def test_outside_a_scope_every_encode_extracts(self, monkeypatch):
+        calls = self._count_extractions(monkeypatch)
+        fsm = benchmark("lion")
+        encode_fsm(fsm, "ihybrid")
+        encode_fsm(fsm, "igreedy")
+        assert calls == [fsm, fsm]
+
+    def test_inside_a_scope_one_extraction_serves_every_encode(
+            self, monkeypatch):
+        from repro.encoding.nova import shared_stages
+
+        calls = self._count_extractions(monkeypatch)
+        fsm = benchmark("lion")
+        alone = encode_fsm(fsm, "igreedy")
+        with shared_stages():
+            first = encode_fsm(fsm, "ihybrid")
+            second = encode_fsm(fsm, "igreedy")
+        assert calls == [fsm, fsm]  # alone, then once for the block
+        assert second.state_encoding.codes == alone.state_encoding.codes
+        assert (second.cubes, second.area) == (alone.cubes, alone.area)
+        # the stage is charged to the encode that computed it
+        assert "mv_min" in first.report.stage_seconds
+        assert "mv_min" not in second.report.stage_seconds
+
+    def test_equal_but_distinct_machine_gets_its_own_stages(
+            self, monkeypatch):
+        from repro.encoding.nova import shared_stages
+        from repro.fsm.kiss import parse_kiss, to_kiss
+
+        calls = self._count_extractions(monkeypatch)
+        fsm = benchmark("lion")
+        twin = parse_kiss(to_kiss(fsm), name=fsm.name)
+        with shared_stages():
+            encode_fsm(fsm, "ihybrid")
+            encode_fsm(twin, "ihybrid")
+        assert calls == [fsm, twin]
+
+    def test_effort_is_part_of_the_key(self, monkeypatch):
+        from repro.encoding.nova import shared_stages
+
+        calls = self._count_extractions(monkeypatch)
+        fsm = benchmark("lion")
+        with shared_stages():
+            encode_fsm(fsm, "ihybrid", effort="full")
+            encode_fsm(fsm, "ihybrid", effort="low")
+        assert len(calls) == 2
+
+    def test_scope_does_not_reach_another_thread(self, monkeypatch):
+        import threading
+
+        from repro.encoding.nova import shared_stages
+
+        calls = self._count_extractions(monkeypatch)
+        fsm = benchmark("lion")
+        errors = []
+
+        def other():
+            try:
+                encode_fsm(fsm, "ihybrid")
+                encode_fsm(fsm, "igreedy")
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        with shared_stages():
+            encode_fsm(fsm, "ihybrid")
+            thread = threading.Thread(target=other)
+            thread.start()
+            thread.join()
+        assert errors == []
+        assert len(calls) == 3  # one for the block, two in the thread
+
+    def test_armed_faults_disable_sharing(self, monkeypatch):
+        from repro.encoding.nova import shared_stages
+        from repro.perf.budget import BudgetExhausted
+        from repro.testing import faults
+
+        calls = self._count_extractions(monkeypatch)
+        fsm = benchmark("lion")
+        with shared_stages():
+            with faults.inject(faults.Fault("mv_min", BudgetExhausted,
+                                            times=1)) as plan:
+                first = encode_fsm(fsm, "ihybrid")
+                second = encode_fsm(fsm, "ihybrid")
+        assert len(plan.fired) == 1
+        assert first.report.degraded
+        assert [e.algorithm for e in first.report.fallbacks] == ["ihybrid"]
+        assert first.algorithm == "igreedy"
+        assert not second.report.degraded
+        assert second.algorithm == "ihybrid"
+        # the faulted extraction stored nothing, and no encode reused
+        # another's: ihybrid (tripped), igreedy, then the second encode
+        assert len(calls) == 3
+
+    def test_budget_checks_are_unchanged_by_sharing(self, monkeypatch):
+        from repro.encoding.nova import shared_stages
+        from repro.perf.budget import Budget
+
+        checks = []
+        real = Budget.check_time
+
+        def counting(self):
+            checks.append(self)
+            return real(self)
+
+        monkeypatch.setattr(Budget, "check_time", counting)
+        fsm = benchmark("lion")
+        encode_fsm(fsm, "ihybrid", timeout=600.0)
+        alone = len(checks)
+        with shared_stages():
+            encode_fsm(fsm, "igreedy")
+            del checks[:]
+            encode_fsm(fsm, "ihybrid", timeout=600.0)
+        # the post-extraction check still runs for the served encode
+        assert len(checks) == alone
