@@ -11,8 +11,10 @@ A record is one *suite* (a named :class:`~repro.bench.spec.SweepSpec`)
 run once: per-unit :class:`~repro.bench.timing.SampleStats` keyed by
 ``machine/algorithm[/seed]``, plus the environment snapshot that makes
 two records comparable (or tells you why they are not — comparing a
-``numpy``-substrate record against a ``python`` one measures the
-backend, not the PR).
+record from another interpreter or host measures the environment, not
+the PR).  Records appended before the cover kernels became pure-python
+only carry an extra ``substrate`` key; it loads and compares like any
+other unknown key.
 
 Schema policy: ``SCHEMA_VERSION`` bumps only when a field changes
 meaning or is removed; *adding* optional fields is backward compatible
@@ -48,11 +50,10 @@ SCHEMA_VERSION = 1
 def capture_environment() -> Dict[str, object]:
     """Snapshot of everything that makes timing numbers (in)comparable.
 
-    Captured once per record, not per unit: the substrate backend, the
-    interpreter, and the host do not change mid-sweep.
+    Captured once per record, not per unit: the interpreter and the
+    host do not change mid-sweep.
     """
     from repro import __version__
-    from repro.logic import backend
 
     return {
         "python": platform.python_version(),
@@ -60,7 +61,6 @@ def capture_environment() -> Dict[str, object]:
         "platform": sys.platform,
         "machine": platform.machine(),
         "cpu_count": os.cpu_count() or 1,
-        "substrate": backend.ACTIVE,
         "repro_version": __version__,
     }
 

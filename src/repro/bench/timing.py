@@ -6,9 +6,9 @@ measurement was — and a perf-trajectory gate that compares two
 best-of-N numbers cannot tell a regression from an unlucky scheduler
 quantum.  This module standardizes the protocol:
 
-* **warmup** runs are executed and discarded (they build packing
-  tables, lazy complements, import caches — state every later sample
-  would otherwise pay for unevenly);
+* **warmup** runs are executed and discarded (they fill memo tables,
+  lazy complements, import caches — state every later sample would
+  otherwise pay for unevenly);
 * **N repeated samples** are collected with a monotonic clock;
 * **outlier rejection** drops samples further than ``k`` scaled median
   absolute deviations from the median (MAD is robust: one GC pause or

@@ -1,14 +1,14 @@
 """Unified runtime configuration: one validated choke point.
 
 Every process-wide knob used to be its own scattered ``os.environ``
-read — ``NOVA_CACHE`` in :mod:`repro.cache`, ``NOVA_SUBSTRATE`` in
-:mod:`repro.logic.backend`, ``NOVA_PERF`` in :mod:`repro.perf`,
-``NOVA_BENCH_JOBS`` in the benchmarks conftest — each with its own
+read — ``NOVA_CACHE`` in :mod:`repro.cache`, ``NOVA_PERF`` in
+:mod:`repro.perf`, ``NOVA_BENCH_JOBS`` in the benchmarks conftest —
+each with its own
 parsing, its own validation (or none), and its own failure surface.
 This module replaces them with a single frozen :class:`RuntimeConfig`
 assembled from three layers, lowest precedence first:
 
-1. **environment** — the six legacy ``NOVA_*`` variables, kept working
+1. **environment** — the five legacy ``NOVA_*`` variables, kept working
    for one release by a deprecation shim (each emits a
    ``DeprecationWarning`` once per process when actually consulted);
 2. **config file** — a JSON or TOML file named by ``$NOVA_CONFIG``,
@@ -26,12 +26,12 @@ wrong cache policy would quietly change costs — or quietly reuse stale
 results.
 
 Consumers read *narrow* accessors (:func:`cache_policy`,
-:func:`substrate`, :func:`perf_enabled`, ...) so an import-time reader
+:func:`perf_enabled`, :func:`bench_jobs`, ...) so an import-time reader
 like :mod:`repro.perf` only trips over errors in the field it needs;
 long-lived entry points (``nova serve``, the CLI) call
 :func:`get_config` once at startup to validate everything up front.
 This module is a leaf: it imports nothing from :mod:`repro`, so every
-subsystem (cache, backend, perf, bench) can depend on it without
+subsystem (cache, perf, bench, sanitizer) can depend on it without
 cycles, and it stays import-clean across the spawn boundary.
 """
 
@@ -51,7 +51,6 @@ __all__ = [
     "CONFIG_FILE_VAR",
     "DEFAULT_CACHE_MAX_BYTES",
     "ENV_VARS",
-    "SUBSTRATES",
     "RuntimeConfig",
     "bench_jobs",
     "bench_set",
@@ -63,16 +62,12 @@ __all__ = [
     "get_config",
     "perf_enabled",
     "sanitize_enabled",
-    "substrate",
 ]
 
 #: Resolved cache policies.  ``auto`` is an :class:`EncodeOptions`-level
 #: request meaning "whatever the runtime config says"; it never appears
 #: in a resolved config.
 CACHE_POLICIES: Tuple[str, ...] = ("on", "off", "memory")
-
-#: Cover-kernel substrates (see :mod:`repro.logic.backend`).
-SUBSTRATES: Tuple[str, ...] = ("python", "numpy")
 
 #: Disk-tier prune budget default (256 MiB) — the single source of
 #: truth; :mod:`repro.cache.store` mirrors it for its constructor.
@@ -86,7 +81,6 @@ ENV_VARS: Dict[str, str] = {
     "cache": "NOVA_CACHE",
     "cache_dir": "NOVA_CACHE_DIR",
     "cache_max_bytes": "NOVA_CACHE_MAX_BYTES",
-    "substrate": "NOVA_SUBSTRATE",
     "perf": "NOVA_PERF",
     "bench_jobs": "NOVA_BENCH_JOBS",
     "bench_set": "NOVA_BENCH_SET",
@@ -119,8 +113,6 @@ class RuntimeConfig:
         (resolve with :meth:`resolved_cache_dir`).
     cache_max_bytes:
         Disk-tier prune budget in bytes.
-    substrate:
-        Cover-kernel backend: ``python`` or ``numpy``.
     perf:
         Whether a process-global perf collector starts installed.
     bench_jobs:
@@ -139,7 +131,6 @@ class RuntimeConfig:
     cache: str = "on"
     cache_dir: Optional[str] = None
     cache_max_bytes: int = DEFAULT_CACHE_MAX_BYTES
-    substrate: str = "python"
     perf: bool = False
     bench_jobs: int = 1
     bench_set: Optional[str] = None
@@ -148,7 +139,6 @@ class RuntimeConfig:
 
     def __post_init__(self) -> None:
         _validate_cache(self.cache, "RuntimeConfig.cache")
-        _validate_substrate(self.substrate, "RuntimeConfig.substrate")
         if not isinstance(self.cache_max_bytes, int) \
                 or isinstance(self.cache_max_bytes, bool) \
                 or self.cache_max_bytes < 0:
@@ -212,14 +202,6 @@ def _validate_cache(value: str, source: str) -> str:
     return value
 
 
-def _validate_substrate(value: str, source: str) -> str:
-    if value not in SUBSTRATES:
-        raise ValueError(
-            f"unknown substrate backend {value!r} ({source}): choose "
-            f"from {SUBSTRATES}")
-    return value
-
-
 def _parse_cache(raw: str, source: str) -> str:
     value = raw.strip().lower()
     if value in _OFF_VALUES:
@@ -229,10 +211,6 @@ def _parse_cache(raw: str, source: str) -> str:
     if value in _ON_VALUES:
         return "on"
     return _validate_cache(value, source)
-
-
-def _parse_substrate(raw: str, source: str) -> str:
-    return _validate_substrate(raw.strip().lower(), source)
 
 
 def _parse_bool(raw: str, source: str) -> bool:
@@ -297,7 +275,6 @@ _ENV_PARSERS: Dict[str, Callable[[str, str], Any]] = {
     "cache": _parse_cache,
     "cache_dir": _parse_dir,
     "cache_max_bytes": _parse_max_bytes,
-    "substrate": _parse_substrate,
     "perf": _parse_bool,
     "bench_jobs": _parse_jobs,
     "bench_set": _parse_bench_set,
@@ -308,7 +285,7 @@ _ENV_PARSERS: Dict[str, Callable[[str, str], Any]] = {
 # Blank-counts-as-unset applies to every variable except NOVA_CACHE_DIR,
 # where the empty string already meant "use the default" historically.
 _BLANK_IS_UNSET = frozenset(
-    {"cache", "substrate", "perf", "bench_jobs", "cache_max_bytes",
+    {"cache", "perf", "bench_jobs", "cache_max_bytes",
      "bench_set", "bench_task_timeout", "sanitize"})
 
 
@@ -356,8 +333,8 @@ def _load_config_file(path: str) -> Dict[str, Any]:
     Only structural problems raise here (unreadable file, broken
     syntax, not-an-object, unknown keys).  Field *values* are validated
     lazily in :func:`_file_field`, so a narrow accessor like
-    :func:`substrate` — consulted at import time by
-    :mod:`repro.logic.backend` — cannot be tripped by a bad value in an
+    :func:`perf_enabled` — consulted at import time by
+    :mod:`repro.perf` — cannot be tripped by a bad value in an
     unrelated field; :func:`get_config` still validates every field
     eagerly at service boot.
     """
@@ -444,7 +421,7 @@ def config_scope(**overrides: Any) -> Iterator[RuntimeConfig]:
     any ``$NOVA_CONFIG`` file, nest (innermost wins per field), and are
     validated eagerly on entry.
 
-    >>> with config_scope(cache="off", substrate="python"):
+    >>> with config_scope(cache="off", perf=False):
     ...     assert get_config().cache == "off"
     """
     known = {f.name for f in dataclasses.fields(RuntimeConfig)}
@@ -509,8 +486,8 @@ def get_config() -> RuntimeConfig:
 
 
 # Narrow accessors: consult only their own field, so import-time
-# readers (repro.perf, repro.logic.backend) fail only on errors in the
-# value they actually need.
+# readers (repro.perf) fail only on errors in the value they actually
+# need.
 def cache_policy() -> str:
     """Resolved cache policy: ``on`` / ``off`` / ``memory``."""
     value = _resolve("cache")
@@ -528,22 +505,6 @@ def cache_dir() -> Path:
 def cache_max_bytes() -> int:
     """Disk-tier prune budget in bytes."""
     return int(_resolve("cache_max_bytes"))
-
-
-def substrate() -> Optional[str]:
-    """The requested cover-kernel backend, or ``None`` when unset.
-
-    Unlike the other accessors this distinguishes "explicitly asked
-    for python" from "said nothing": :mod:`repro.logic.backend` only
-    *switches* (and hard-fails on a missing numpy) when a backend was
-    actually requested somewhere.
-    """
-    value = _scope_field("substrate")
-    if value is None:
-        value = _file_field("substrate")
-    if value is None:
-        value = _env_field("substrate")
-    return value
 
 
 def perf_enabled() -> bool:

@@ -201,7 +201,7 @@ class _PosEquiv:
         # non-singleton: must contain exactly the member codes placed so
         # far — one batched membership check over all placed codes
         codes = self.codes
-        if codes and not backend.kernels.face_members_ok(
+        if codes and not backend.face_members_ok(
                 list(codes.keys()), list(codes.values()),
                 ic, face.care, face.val):
             return False
@@ -339,7 +339,7 @@ class _PosEquiv:
             # in sorted order by one batched kernel call
             # nova-lint: disable=NV002 -- candidate generator; _search
             # charges the budget once per face it consumes from here
-            for code in backend.kernels.face_vertices(
+            for code in backend.face_vertices(
                     self.k, region.care, region.val):
                 yield Face.vertex(self.k, code)
             return
@@ -406,7 +406,7 @@ class _PosEquiv:
         # every node that led here
         for ic in ig.non_universe_nodes():
             face = self.enc[ic]
-            if not backend.kernels.face_members_ok(
+            if not backend.face_members_ok(
                     states, codes, ic, face.care, face.val):
                 return False
         return True

@@ -1,64 +1,28 @@
-"""Batched whole-cover kernels: the pluggable logic substrate.
+"""Batched whole-cover kernels: the inner loops of the logic layer.
 
 Every NOVA algorithm bottoms out in per-cube integer operations —
-containment scans, cofactors, distance tests — over
+containment scans, cofactors, consensus — over
 :class:`~repro.logic.cover.Cover` objects.  This module concentrates
-those inner loops into *whole-cover kernels* so they run once per cover
-instead of once per cube, and makes the implementation swappable:
+those inner loops into *whole-cover kernels* that run once per cover
+instead of once per cube: hoisted, allocation-free loops over plain
+lists of cube ints, called directly (``backend.cofactor(fmt, cubes,
+c)``) by :mod:`~repro.logic.cover`, :mod:`~repro.logic.espresso`,
+:mod:`~repro.logic.exact`, :mod:`~repro.logic.urp` and
+:mod:`repro.encoding.iexact`.
 
-* the **python** backend (always available) keeps cubes as plain ints
-  and runs hoisted, allocation-free loops — the reference
-  implementation and the bit-identity oracle;
-* the **numpy** backend packs each cover into a contiguous
-  ``(n_cubes, n_words)`` array of 64-bit machine words and answers the
-  same kernels with vectorized bitwise arithmetic
-  (``np.bitwise_count`` for popcounts).  Small covers are delegated to
-  the python kernels — below :data:`MIN_BATCH` cubes the array setup
-  costs more than the loop it replaces.
-
-**The bit-identity contract.**  Both backends MUST return identical
-values for identical inputs: same cubes, same order, same tie-breaks.
-Kernels never reorder results (boolean row selection preserves input
-order; :func:`single_cube_containment` sorts by the canonical
-``(minterm count desc, cube value asc)`` key in both backends).  The
-test-suite enforces the contract with property tests
-(``tests/test_backend.py``) and whole-pipeline encode comparisons
-(``benchmarks/check_backend_identity.py``), so an encoding produced
-under ``NOVA_SUBSTRATE=numpy`` is bit-for-bit the one the pure-python
-substrate produces.
-
-Selection happens once at import from the unified runtime config
-(:mod:`repro.config`): the ``substrate`` field — set in a
-``$NOVA_CONFIG`` file, or via the deprecated ``NOVA_SUBSTRATE``
-variable (``python`` | ``numpy``; default ``python``).  Tests and
-benchmarks may switch at runtime with :func:`select` or the
-:func:`use` context manager — the swap is atomic (one module global).
+Kernels never reorder results: filters preserve input order, and
+:func:`single_cube_containment` sorts by the canonical ``(minterm count
+desc, cube value asc)`` key.  ``tests/test_backend.py`` checks every
+kernel against a per-cube loop over the :class:`~repro.logic.cube.Format`
+primitives, and ``benchmarks/check_signatures.py`` pins whole encode
+results to committed golden signatures.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-from repro import config as config_mod
 from repro import perf
-
-__all__ = [
-    "ACTIVE",
-    "MIN_BATCH",
-    "available_backends",
-    "kernels",
-    "select",
-    "use",
-]
-
-#: Covers smaller than this are answered by the python kernels even
-#: under the numpy backend: packing dominates below it.  Results are
-#: identical either way (the bit-identity contract), so the threshold
-#: is a pure performance knob.
-MIN_BATCH = 64
-
-VALID_BACKENDS = ("python", "numpy")
 
 
 def _count_kernel_call() -> None:
@@ -67,9 +31,6 @@ def _count_kernel_call() -> None:
         stats.kernel_batch_calls += 1
 
 
-# ----------------------------------------------------------------------
-# per-variable profile consumed by the URP recursion
-# ----------------------------------------------------------------------
 #: One entry per variable: (non-full cube count, binate flag, OR of the
 #: non-full fields, masked in place).  ``urp`` derives its leaf checks,
 #: the unate-reduction cofactor and the Shannon split variable from one
@@ -77,764 +38,222 @@ def _count_kernel_call() -> None:
 VarProfile = List[Tuple[int, bool, int]]
 
 
-# ======================================================================
-# python kernels — the reference implementation
-# ======================================================================
-class PythonKernels:
-    """Hoisted pure-python loops over lists of cube ints."""
+def cofactor(fmt, cubes, against: int) -> List[int]:
+    """Cofactor every cube against *against*; drops non-intersecting
+    cubes, preserves order."""
+    _count_kernel_call()
+    masks = fmt.masks
+    raise_mask = fmt.universe & ~against
+    out: List[int] = []
+    append = out.append
+    for c in cubes:
+        x = c & against
+        for m in masks:
+            if not x & m:
+                break
+        else:
+            append(c | raise_mask)
+    return out
 
-    name = "python"
 
-    @staticmethod
-    def pack(fmt, cubes: Sequence[int]):
-        """Reusable cover handle: the python backend needs no packing."""
-        return list(cubes)
+def intersect_cube(fmt, cubes, cube: int) -> List[int]:
+    """Intersect every cube with *cube*; drops empty results,
+    preserves order."""
+    _count_kernel_call()
+    masks = fmt.masks
+    out: List[int] = []
+    append = out.append
+    for c in cubes:
+        r = c & cube
+        for m in masks:
+            if not r & m:
+                break
+        else:
+            append(r)
+    return out
 
-    @staticmethod
-    def cofactor(fmt, cubes, against: int) -> List[int]:
-        """Cofactor every cube against *against*; drops non-intersecting
-        cubes, preserves order."""
-        _count_kernel_call()
-        masks = fmt.masks
-        raise_mask = fmt.universe & ~against
-        out: List[int] = []
-        append = out.append
+
+def contain_any(fmt, cubes, cube: int) -> bool:
+    """True when some single cube of the cover contains *cube*."""
+    _count_kernel_call()
+    for k in cubes:
+        if cube & ~k == 0:
+            return True
+    return False
+
+
+def any_intersects(fmt, cubes, cube: int) -> bool:
+    """True when *cube* shares a minterm with some cube of the cover."""
+    _count_kernel_call()
+    masks = fmt.masks
+    for c in cubes:
+        x = c & cube
+        for m in masks:
+            if not x & m:
+                break
+        else:
+            return True
+    return False
+
+
+def contained_mask(fmt, cubes, cube: int) -> List[bool]:
+    """Per-cube flags: cover cube i is contained in *cube*."""
+    _count_kernel_call()
+    return [c & ~cube == 0 for c in cubes]
+
+
+def intersect_counts(fmt, cubes, probes: Sequence[int]) -> List[int]:
+    """For each probe cube, how many cover cubes it intersects."""
+    _count_kernel_call()
+    masks = fmt.masks
+    counts: List[int] = []
+    append = counts.append
+    for p in probes:
+        n = 0
         for c in cubes:
-            x = c & against
+            x = c & p
             for m in masks:
                 if not x & m:
                     break
             else:
-                append(c | raise_mask)
-        return out
-
-    @staticmethod
-    def intersect_cube(fmt, cubes, cube: int) -> List[int]:
-        """Intersect every cube with *cube*; drops empty results,
-        preserves order."""
-        _count_kernel_call()
-        masks = fmt.masks
-        out: List[int] = []
-        append = out.append
-        for c in cubes:
-            r = c & cube
-            for m in masks:
-                if not r & m:
-                    break
-            else:
-                append(r)
-        return out
-
-    @staticmethod
-    def contain_any(fmt, cubes, cube: int) -> bool:
-        """True when some single cube of the cover contains *cube*."""
-        _count_kernel_call()
-        for k in cubes:
-            if cube & ~k == 0:
-                return True
-        return False
-
-    @staticmethod
-    def any_intersects(fmt, cubes, cube: int) -> bool:
-        """True when *cube* shares a minterm with some cube of the cover."""
-        _count_kernel_call()
-        masks = fmt.masks
-        for c in cubes:
-            x = c & cube
-            for m in masks:
-                if not x & m:
-                    break
-            else:
-                return True
-        return False
-
-    @staticmethod
-    def contained_mask(fmt, cubes, cube: int) -> List[bool]:
-        """Per-cube flags: cover cube i is contained in *cube*."""
-        _count_kernel_call()
-        return [c & ~cube == 0 for c in cubes]
-
-    @staticmethod
-    def intersect_counts(fmt, cubes, probes: Sequence[int]) -> List[int]:
-        """For each probe cube, how many cover cubes it intersects."""
-        _count_kernel_call()
-        masks = fmt.masks
-        counts: List[int] = []
-        append = counts.append
-        for p in probes:
-            n = 0
-            for c in cubes:
-                x = c & p
-                for m in masks:
-                    if not x & m:
-                        break
-                else:
-                    n += 1
-            append(n)
-        return counts
-
-    @staticmethod
-    def minterm_counts(fmt, cubes) -> List[int]:
-        """Minterm count of every cube (product of field popcounts)."""
-        _count_kernel_call()
-        masks = fmt.masks
-        out: List[int] = []
-        append = out.append
-        for c in cubes:
-            n = 1
-            for m in masks:
-                n *= (c & m).bit_count()
-            append(n)
-        return out
-
-    @staticmethod
-    def distances(fmt, cubes, cube: int) -> List[int]:
-        """Per-cube distance to *cube* (variables with empty intersection)."""
-        _count_kernel_call()
-        masks = fmt.masks
-        out: List[int] = []
-        append = out.append
-        for c in cubes:
-            x = c & cube
-            d = 0
-            for m in masks:
-                if not x & m:
-                    d += 1
-            append(d)
-        return out
-
-    @staticmethod
-    def single_cube_containment(fmt, cubes) -> List[int]:
-        """Drop cubes contained in another single cube; canonical order.
-
-        Candidates are deduplicated and visited in decreasing
-        minterm-count order with the cube value as a deterministic
-        tie-break — the order is part of the bit-identity contract
-        (set iteration order, the pre-6.x behaviour, varied with
-        insertion history).
-        """
-        _count_kernel_call()
-        masks = fmt.masks
-
-        def mc(c: int) -> int:
-            n = 1
-            for m in masks:
-                n *= (c & m).bit_count()
-            return n
-
-        order = sorted(set(cubes), key=lambda c: (-mc(c), c))
-        kept: List[int] = []
-        kept_pc: List[int] = []
-        for c in order:
-            pc = c.bit_count()
-            contained = False
-            for k, kpc in zip(kept, kept_pc):
-                if kpc > pc and c & ~k == 0:
-                    contained = True
-                    break
-            if not contained:
-                kept.append(c)
-                kept_pc.append(pc)
-        return kept
-
-    @staticmethod
-    def var_profile(fmt, cubes) -> VarProfile:
-        """(non-full count, binate flag, non-full field union) per variable."""
-        _count_kernel_call()
-        out: List[Tuple[int, bool, int]] = []
-        append = out.append
-        for m in fmt.masks:
-            count = 0
-            first = -1
-            binate = False
-            union = 0
-            for c in cubes:
-                f = c & m
-                if f != m:
-                    count += 1
-                    union |= f
-                    if first < 0:
-                        first = f
-                    elif f != first:
-                        binate = True
-            append((count, binate, union))
-        return out
-
-    @staticmethod
-    def consensus_scan(fmt, cubes, cube: int) -> List[int]:
-        """MV consensus of *cube* with every cover cube, flattened.
-
-        Per pair: nothing at distance > 1; the classic single consensus
-        cube at distance 1 (dropped when empty); at distance 0 one cube
-        per variable with that variable's parts unioned (the
-        multiple-valued completeness requirement of iterated
-        consensus — see :mod:`repro.logic.exact`).
-        """
-        _count_kernel_call()
-        masks = fmt.masks
-        out: List[int] = []
-        append = out.append
-        for b in cubes:
-            inter = cube & b
-            empty_m = -1
-            n_empty = 0
-            for m in masks:
-                if not inter & m:
-                    n_empty += 1
-                    if n_empty > 1:
-                        break
-                    empty_m = m
-            if n_empty > 1:
-                continue
-            union = cube | b
-            if n_empty == 1:
-                c = (inter & ~empty_m) | (union & empty_m)
-                for m in masks:
-                    if not c & m:
-                        break
-                else:
-                    append(c)
-                continue
-            for m in masks:
-                append((inter & ~m) | (union & m))
-        return out
-
-    # -- encoding-cube (Face) kernels ----------------------------------
-    @staticmethod
-    def face_members_ok(states: Sequence[int], codes: Sequence[int],
-                        ic: int, care: int, val: int) -> bool:
-        """§3.1 criterion over placed codes: state code lies in the face
-        (care, val) exactly when the state is a member of *ic*."""
-        _count_kernel_call()
-        for s, code in zip(states, codes):
-            if (((code ^ val) & care) == 0) != bool((ic >> s) & 1):
-                return False
-        return True
-
-    @staticmethod
-    def face_vertices(k: int, care: int, val: int) -> List[int]:
-        """Sorted codes of the face's vertices."""
-        _count_kernel_call()
-        free = [i for i in range(k) if not (care >> i) & 1]
-        out = []
-        for bits in range(1 << len(free)):
-            code = val
-            for j, pos in enumerate(free):
-                if (bits >> j) & 1:
-                    code |= 1 << pos
-            out.append(code)
-        out.sort()
-        return out
-
-
-# ======================================================================
-# numpy kernels — packed machine-word arrays
-# ======================================================================
-def _build_numpy_kernels():
-    """Construct the numpy backend (raises ImportError without numpy)."""
-    import numpy as np
-
-    _PY = PythonKernels
-    U64 = np.dtype("<u8")
-
-    M64 = (1 << 64) - 1
-
-    class _FormatData:
-        """Per-format packing tables, cached on the Format object.
-
-        The gather tables exploit that a variable's part field almost
-        always lies inside one 64-bit word: ``arr[..., var_word] &
-        var_wmask`` extracts every variable's field with a single fancy
-        index, keeping the per-variable tests two-dimensional no matter
-        how wide the format is.  The rare fields that straddle a word
-        boundary (possible only for multi-valued variables, and only at
-        one boundary since parts <= 64) are patched per variable from
-        the ``straddle`` list.
-        """
-
-        __slots__ = ("nwords", "nbytes", "vmasks", "universe",
-                     "int_universe", "int64_counts", "var_word",
-                     "var_wmask", "straddle", "ra_ok", "var_shift",
-                     "part_full", "ra_straddle")
-
-        def __init__(self, fmt):
-            self.nwords = (fmt.width + 63) // 64
-            self.nbytes = self.nwords * 8
-            self.int_universe = fmt.universe
-            self.vmasks = np.array(
-                [self._words(m) for m in fmt.masks], dtype=U64)
-            self.universe = np.array(self._words(fmt.universe), dtype=U64)
-            # minterm products fit int64 when the theoretical maximum
-            # (all fields full) does; otherwise fall back to exact
-            # python products so overflow can never corrupt a sort key
-            max_product = 1
-            for p in fmt.parts:
-                max_product *= p
-            self.int64_counts = max_product < (1 << 62)
-            # per-variable word-gather tables
-            var_word: List[int] = []
-            var_wmask: List[int] = []
-            straddle = []
-            for v, (off, p) in enumerate(zip(fmt.offsets, fmt.parts)):
-                w0, w1 = off // 64, (off + p - 1) // 64
-                var_word.append(w0)
-                var_wmask.append((fmt.masks[v] >> (64 * w0)) & M64)
-                if w0 != w1:
-                    straddle.append((v, [
-                        (w, np.uint64((fmt.masks[v] >> (64 * w)) & M64))
-                        for w in range(w0, w1 + 1)]))
-            self.var_word = np.array(var_word, dtype=np.intp)
-            self.var_wmask = np.array(var_wmask, dtype=U64)
-            self.straddle = straddle
-            # right-aligned field extraction (var_profile); needs every
-            # part to fit one word so straddles span exactly two words
-            self.ra_ok = all(p <= 64 for p in fmt.parts)
-            if self.ra_ok:
-                self.var_shift = np.array(
-                    [off % 64 for off in fmt.offsets], dtype=U64)
-                self.part_full = np.array(
-                    [(1 << p) - 1 for p in fmt.parts], dtype=U64)
-                self.ra_straddle = [
-                    (v, parts_w[0][0], np.uint64(fmt.offsets[v] % 64),
-                     np.uint64(64 - fmt.offsets[v] % 64))
-                    for v, parts_w in straddle]
-            else:  # pragma: no cover - parts > 64 never in benchmarks
-                self.var_shift = self.part_full = None
-                self.ra_straddle = []
-
-        def _words(self, value: int) -> List[int]:
-            return [(value >> (64 * j)) & M64
-                    for j in range(self.nwords)]
-
-    def _fmt_data(fmt) -> _FormatData:
-        data = fmt._kcache
-        if data is None:
-            data = fmt._kcache = _FormatData(fmt)
-        return data
-
-    class Packed:
-        """A cover packed once, reused across many kernel calls.
-
-        ``inv`` (the bitwise complement, used by containment tests) is
-        derived lazily and cached: espresso's expand asks thousands of
-        containment/intersection questions against one off-set.
-        """
-
-        __slots__ = ("cubes", "arr", "_inv")
-
-        def __init__(self, fd: _FormatData, cubes: Sequence[int]):
-            self.cubes = list(cubes)
-            self.arr = _pack_list(fd, self.cubes)
-            self._inv = None
-
-        def __len__(self) -> int:
-            return len(self.cubes)
-
-        def __getitem__(self, key):
-            """Slice into a view-sharing Packed (no repacking).
-
-            ``all_primes`` packs each round's pool once and scans
-            shrinking tails of it; a slice reuses the parent's array
-            (and its cached complement) as numpy views.
-            """
-            if not isinstance(key, slice):
-                raise TypeError("Packed supports slice indexing only")
-            view = Packed.__new__(Packed)
-            view.cubes = self.cubes[key]
-            view.arr = self.arr[key]
-            view._inv = None if self._inv is None else self._inv[key]
-            return view
-
-        @property
-        def inv(self):
-            if self._inv is None:
-                self._inv = ~self.arr
-            return self._inv
-
-    def _pack_list(fd: _FormatData, cubes: Sequence[int]):
-        n = len(cubes)
-        if n == 0:
-            return np.empty((0, fd.nwords), dtype=U64)
-        if fd.nwords == 1:
-            return np.asarray(cubes, dtype=U64).reshape(n, 1)
-        nbytes = fd.nbytes
-        buf = b"".join(c.to_bytes(nbytes, "little") for c in cubes)
-        return np.frombuffer(buf, dtype=U64).reshape(n, fd.nwords)
-
-    def _coerce(fd: _FormatData, cubes):
-        """(list, packed array) from either a raw sequence or a Packed."""
-        if isinstance(cubes, Packed):
-            return cubes.cubes, cubes.arr
-        cubes = list(cubes)
-        return cubes, _pack_list(fd, cubes)
-
-    def _cube_words(fd: _FormatData, cube: int):
-        if fd.nwords == 1:
-            return np.uint64(cube)  # scalar broadcasts over (n, 1)
-        return np.frombuffer(cube.to_bytes(fd.nbytes, "little"), dtype=U64)
-
-    def _unpack(fd: _FormatData, arr) -> List[int]:
-        if arr.shape[0] == 0:
-            return []
-        if fd.nwords == 1:
-            return arr.ravel().tolist()
-        # column-wise: one C-level tolist per word, then shift-combine —
-        # much cheaper than per-row bytes round-trips
-        out = arr[:, 0].tolist()
-        for j in range(1, fd.nwords):
-            shift = 64 * j
-            out = [o | (w << shift) for o, w in zip(out, arr[:, j].tolist())]
-        return out
-
-    def _fields_nonzero(fd: _FormatData, arr):
-        """(..., num_vars) bools: variable field non-zero in each row.
-
-        One word-gather regardless of format width; straddling
-        variables are patched from their word fragments.
-        """
-        nz = (arr[..., fd.var_word] & fd.var_wmask) != 0
-        for v, parts_w in fd.straddle:
-            w, mw = parts_w[0]
-            acc = arr[..., w] & mw
-            for w, mw in parts_w[1:]:
-                acc = acc | (arr[..., w] & mw)
-            nz[..., v] = acc != 0
-        return nz
-
-    class NumpyKernels:
-        """Packed-word vectorized kernels (bit-identical to python)."""
-
-        name = "numpy"
-
-        @staticmethod
-        def pack(fmt, cubes: Sequence[int]):
-            return Packed(_fmt_data(fmt), cubes)
-
-        @staticmethod
-        def cofactor(fmt, cubes, against: int) -> List[int]:
-            if len(cubes) < MIN_BATCH:
-                return _PY.cofactor(fmt, _raw(cubes), against)
-            _count_kernel_call()
-            fd = _fmt_data(fmt)
-            _, arr = _coerce(fd, cubes)
-            cw = _cube_words(fd, against)
-            keep = _fields_nonzero(fd, arr & cw).all(axis=1)
-            raised = arr[keep] | (fd.universe & ~cw)
-            return _unpack(fd, raised)
-
-        @staticmethod
-        def intersect_cube(fmt, cubes, cube: int) -> List[int]:
-            if len(cubes) < MIN_BATCH:
-                return _PY.intersect_cube(fmt, _raw(cubes), cube)
-            _count_kernel_call()
-            fd = _fmt_data(fmt)
-            _, arr = _coerce(fd, cubes)
-            inter = arr & _cube_words(fd, cube)
-            keep = _fields_nonzero(fd, inter).all(axis=1)
-            return _unpack(fd, inter[keep])
-
-        @staticmethod
-        def contain_any(fmt, cubes, cube: int) -> bool:
-            if len(cubes) < MIN_BATCH:
-                return _PY.contain_any(fmt, _raw(cubes), cube)
-            _count_kernel_call()
-            fd = _fmt_data(fmt)
-            if isinstance(cubes, Packed):
-                inv = cubes.inv
-            else:
-                _, arr = _coerce(fd, cubes)
-                inv = ~arr
-            if fd.nwords == 1:
-                return bool(((np.uint64(cube) & inv.ravel()) == 0).any())
-            # unrolled column ops beat a 2D reduce at these word counts
-            left = inv[:, 0] & np.uint64(cube & M64)
-            for j in range(1, fd.nwords):
-                left = left | (inv[:, j] & np.uint64((cube >> (64 * j))
-                                                     & M64))
-            return bool((left == 0).any())
-
-        @staticmethod
-        def any_intersects(fmt, cubes, cube: int) -> bool:
-            if len(cubes) < MIN_BATCH:
-                return _PY.any_intersects(fmt, _raw(cubes), cube)
-            _count_kernel_call()
-            fd = _fmt_data(fmt)
-            _, arr = _coerce(fd, cubes)
-            inter = arr & _cube_words(fd, cube)
-            return bool(_fields_nonzero(fd, inter).all(axis=1).any())
-
-        @staticmethod
-        def contained_mask(fmt, cubes, cube: int) -> List[bool]:
-            if len(cubes) < MIN_BATCH:
-                return _PY.contained_mask(fmt, _raw(cubes), cube)
-            _count_kernel_call()
-            fd = _fmt_data(fmt)
-            _, arr = _coerce(fd, cubes)
-            inv = fd.int_universe & ~cube
-            if fd.nwords == 1:
-                return ((arr.ravel() & np.uint64(inv)) == 0).tolist()
-            left = arr[:, 0] & np.uint64(inv & M64)
-            for j in range(1, fd.nwords):
-                left = left | (arr[:, j] & np.uint64((inv >> (64 * j))
-                                                     & M64))
-            return (left == 0).tolist()
-
-        @staticmethod
-        def intersect_counts(fmt, cubes, probes: Sequence[int]) -> List[int]:
-            if len(cubes) * len(probes) < MIN_BATCH * MIN_BATCH:
-                return _PY.intersect_counts(fmt, _raw(cubes), probes)
-            _count_kernel_call()
-            fd = _fmt_data(fmt)
-            _, arr = _coerce(fd, cubes)
-            counts: List[int] = []
-            # chunk the probe axis: the (m, n, vars) intermediate is
-            # the only sizeable allocation in the backend
-            n = arr.shape[0]
-            chunk = max(1, (1 << 22) // max(1, n * fd.nbytes))
-            probes = list(probes)
-            for lo in range(0, len(probes), chunk):
-                parr = _pack_list(fd, probes[lo:lo + chunk])
-                inter = arr[None, :, :] & parr[:, None, :]
-                nz = _fields_nonzero(fd, inter)
-                counts.extend(
-                    nz.all(axis=2).sum(axis=1, dtype=np.int64).tolist())
-            return counts
-
-        @staticmethod
-        def minterm_counts(fmt, cubes) -> List[int]:
-            if len(cubes) < MIN_BATCH:
-                return _PY.minterm_counts(fmt, _raw(cubes))
-            fd = _fmt_data(fmt)
-            if not fd.int64_counts:
-                return _PY.minterm_counts(fmt, _raw(cubes))
-            _count_kernel_call()
-            _, arr = _coerce(fd, cubes)
-            pc = np.bitwise_count(arr[:, fd.var_word] & fd.var_wmask)
-            for v, parts_w in fd.straddle:
-                w, mw = parts_w[0]
-                acc = np.bitwise_count(arr[:, w] & mw)
-                for w, mw in parts_w[1:]:
-                    acc = acc + np.bitwise_count(arr[:, w] & mw)
-                pc[:, v] = acc
-            return np.prod(pc, axis=1, dtype=np.int64).tolist()
-
-        @staticmethod
-        def distances(fmt, cubes, cube: int) -> List[int]:
-            if len(cubes) < MIN_BATCH:
-                return _PY.distances(fmt, _raw(cubes), cube)
-            _count_kernel_call()
-            fd = _fmt_data(fmt)
-            _, arr = _coerce(fd, cubes)
-            inter = arr & _cube_words(fd, cube)
-            nz = _fields_nonzero(fd, inter)
-            return (nz.shape[1] - nz.sum(axis=1, dtype=np.int64)).tolist()
-
-        @staticmethod
-        def single_cube_containment(fmt, cubes) -> List[int]:
-            if len(cubes) < MIN_BATCH:
-                return _PY.single_cube_containment(fmt, _raw(cubes))
-            _count_kernel_call()
-            fd = _fmt_data(fmt)
-            raw = cubes.cubes if isinstance(cubes, Packed) else list(cubes)
-            uniq = list(set(raw))
-            counts = NumpyKernels.minterm_counts(fmt, uniq)
-            by_count = dict(zip(uniq, counts))
-            order = sorted(uniq, key=lambda c: (-by_count[c], c))
-            arr = _pack_list(fd, order)
-            inv = ~arr
-            n = arr.shape[0]
-            # the sequential kept-scan is equivalent to: drop order[i]
-            # iff it is contained in some STRICTLY EARLIER order[j]
-            # (containment is transitive, so a dropped container always
-            # has a kept ancestor).  The restriction to j < i matters:
-            # empty cubes all have minterm count 0, so a subset can
-            # sort before its container and must then be kept, exactly
-            # as the python kernel keeps it.
-            dropped = np.zeros(n, dtype=bool)
-            col = np.arange(n)
-            chunk = max(1, (1 << 22) // max(1, n * 8))
-            for lo in range(0, n, chunk):
-                rows = arr[lo:lo + chunk]
-                left = rows[:, 0][:, None] & inv[:, 0][None, :]
-                for j in range(1, fd.nwords):
-                    left = left | (rows[:, j][:, None] & inv[:, j][None, :])
-                cont = left == 0
-                cont &= col[None, :] < (lo + np.arange(cont.shape[0]))[:, None]
-                dropped[lo:lo + chunk] = cont.any(axis=1)
-            return [c for c, d in zip(order, dropped.tolist()) if not d]
-
-        @staticmethod
-        def var_profile(fmt, cubes) -> VarProfile:
-            if len(cubes) < MIN_BATCH:
-                return _PY.var_profile(fmt, _raw(cubes))
-            fd = _fmt_data(fmt)
-            if not fd.ra_ok:  # pragma: no cover - parts > 64
-                return _PY.var_profile(fmt, _raw(cubes))
-            _count_kernel_call()
-            _, arr = _coerce(fd, cubes)
-            nvars = len(fmt.masks)
-            # right-aligned per-variable fields, one gather wide
-            F = (arr[:, fd.var_word] >> fd.var_shift) & fd.part_full
-            for v, w0, s0, sl in fd.ra_straddle:
-                F[:, v] = ((arr[:, w0] >> s0)
-                           | (arr[:, w0 + 1] << sl)) & fd.part_full[v]
-            nonfull = F != fd.part_full
-            counts = nonfull.sum(axis=0, dtype=np.int64)
-            unions = np.bitwise_or.reduce(
-                np.where(nonfull, F, np.uint64(0)), axis=0)
-            first_idx = np.argmax(nonfull, axis=0)
-            ref = F[first_idx, np.arange(nvars)]
-            differs = (F != ref[None, :]) & nonfull
-            binate = differs.any(axis=0)
-            ulist = unions.tolist()
-            offsets = fmt.offsets
-            return [(int(counts[v]), bool(binate[v]),
-                     ulist[v] << offsets[v]) for v in range(nvars)]
-
-        @staticmethod
-        def consensus_scan(fmt, cubes, cube: int) -> List[int]:
-            if len(cubes) < MIN_BATCH:
-                return _PY.consensus_scan(fmt, _raw(cubes), cube)
-            _count_kernel_call()
-            fd = _fmt_data(fmt)
-            raw, arr = _coerce(fd, cubes)
-            cw = _cube_words(fd, cube)
-            inter = arr & cw
-            union = arr | cw
-            nz = _fields_nonzero(fd, inter)
-            n_empty = nz.shape[1] - nz.sum(axis=1, dtype=np.int64)
-            out: List[int] = []
-            nvars = len(fmt.masks)
-            # distance-1 rows: raise the single empty variable
-            d1 = n_empty == 1
-            if d1.any():
-                vi = np.argmin(nz[d1], axis=1)
-                m = fd.vmasks[vi]
-                cands = (inter[d1] & ~m) | (union[d1] & m)
-                ok = _fields_nonzero(fd, cands).all(axis=1)
-                d1_results = _unpack(fd, cands)
-            # distance-0 rows: one cube per variable, variable order
-            d0 = n_empty == 0
-            if d0.any():
-                i0 = inter[d0][:, None, :]
-                u0 = union[d0][:, None, :]
-                vm = fd.vmasks[None, :, :]
-                allc = (i0 & ~vm) | (u0 & vm)
-                d0_results = _unpack(fd, allc.reshape(-1, fd.nwords))
-            # reassemble in row order (per-pair order is part of the
-            # kernel contract even though the only caller builds a set);
-            # only distance <= 1 rows produce output, so walk just those
-            it1 = iter(zip(d1_results, ok.tolist())) if d1.any() else None
-            pos0 = 0
-            for i in np.flatnonzero(n_empty <= 1).tolist():
-                if n_empty[i] == 1:
-                    c, keep = next(it1)
-                    if keep:
-                        out.append(c)
-                else:
-                    out.extend(d0_results[pos0:pos0 + nvars])
-                    pos0 += nvars
-            return out
-
-        # -- encoding-cube (Face) kernels ------------------------------
-        @staticmethod
-        def face_members_ok(states, codes, ic, care, val) -> bool:
-            # int64 vector path needs every quantity to fit a machine
-            # word; membership masks can exceed it for very wide FSMs
-            if (len(states) < MIN_BATCH * 2 or ic.bit_length() >= 63
-                    or care.bit_length() >= 63 or val.bit_length() >= 63):
-                return _PY.face_members_ok(states, codes, ic, care, val)
-            _count_kernel_call()
-            s = np.fromiter(states, dtype=np.int64, count=len(states))
-            c = np.fromiter(codes, dtype=np.int64, count=len(codes))
-            in_face = ((c ^ val) & care) == 0
-            member = ((ic >> s) & 1).astype(bool)
-            return bool(np.array_equal(in_face, member))
-
-        @staticmethod
-        def face_vertices(k: int, care: int, val: int) -> List[int]:
-            free = [i for i in range(k) if not (care >> i) & 1]
-            nfree = len(free)
-            if (1 << nfree) < MIN_BATCH * 4:
-                return _PY.face_vertices(k, care, val)
-            _count_kernel_call()
-            bits = np.arange(1 << nfree, dtype=np.int64)
-            codes = np.full(1 << nfree, val, dtype=np.int64)
-            for j, pos in enumerate(free):
-                codes |= ((bits >> j) & 1) << pos
-            codes.sort()
-            return codes.tolist()
-
-    def _raw(cubes):
-        return cubes.cubes if isinstance(cubes, Packed) else cubes
-
-    return NumpyKernels
-
-
-# ======================================================================
-# backend selection
-# ======================================================================
-kernels = PythonKernels
-ACTIVE = "python"
-_NUMPY_KERNELS = None
-
-
-def available_backends() -> Tuple[str, ...]:
-    """Backends usable in this environment."""
-    try:
-        import numpy  # noqa: F401
-    except ImportError:
-        return ("python",)
-    return VALID_BACKENDS
-
-
-def select(name: str) -> str:
-    """Install backend *name*; returns the previously active name.
-
-    ``python`` is always available.  Requesting ``numpy`` without numpy
-    installed raises ImportError rather than silently degrading — a
-    user who set ``NOVA_SUBSTRATE=numpy`` expects the packed kernels.
+                n += 1
+        append(n)
+    return counts
+
+
+def minterm_counts(fmt, cubes) -> List[int]:
+    """Minterm count of every cube (product of field popcounts)."""
+    _count_kernel_call()
+    masks = fmt.masks
+    out: List[int] = []
+    append = out.append
+    for c in cubes:
+        n = 1
+        for m in masks:
+            n *= (c & m).bit_count()
+        append(n)
+    return out
+
+
+def single_cube_containment(fmt, cubes) -> List[int]:
+    """Drop cubes contained in another single cube; canonical order.
+
+    Candidates are deduplicated and visited in decreasing
+    minterm-count order with the cube value as a deterministic
+    tie-break, so the result never depends on the insertion history
+    of the input.
     """
-    global kernels, ACTIVE, _NUMPY_KERNELS
-    if name not in VALID_BACKENDS:
-        raise ValueError(
-            f"unknown substrate backend {name!r}: choose from "
-            f"{VALID_BACKENDS} (NOVA_SUBSTRATE)")
-    prev = ACTIVE
-    if name == "python":
-        kernels = PythonKernels
-    else:
-        if _NUMPY_KERNELS is None:
-            try:
-                _NUMPY_KERNELS = _build_numpy_kernels()
-            except ImportError as exc:
-                raise ImportError(
-                    "NOVA_SUBSTRATE=numpy requested but numpy is not "
-                    "installed; install the 'numpy' extra "
-                    "(pip install repro[numpy]) or unset NOVA_SUBSTRATE"
-                ) from exc
-        kernels = _NUMPY_KERNELS
-    ACTIVE = name
-    return prev
+    _count_kernel_call()
+    masks = fmt.masks
+
+    def mc(c: int) -> int:
+        n = 1
+        for m in masks:
+            n *= (c & m).bit_count()
+        return n
+
+    order = sorted(set(cubes), key=lambda c: (-mc(c), c))
+    kept: List[int] = []
+    kept_pc: List[int] = []
+    for c in order:
+        pc = c.bit_count()
+        contained = False
+        for k, kpc in zip(kept, kept_pc):
+            if kpc > pc and c & ~k == 0:
+                contained = True
+                break
+        if not contained:
+            kept.append(c)
+            kept_pc.append(pc)
+    return kept
 
 
-@contextmanager
-def use(name: str) -> Iterator[None]:
-    """Temporarily switch the active backend (tests and benchmarks)."""
-    prev = select(name)
-    try:
-        yield
-    finally:
-        select(prev)
+def var_profile(fmt, cubes) -> VarProfile:
+    """(non-full count, binate flag, non-full field union) per variable."""
+    _count_kernel_call()
+    out: List[Tuple[int, bool, int]] = []
+    append = out.append
+    for m in fmt.masks:
+        count = 0
+        first = -1
+        binate = False
+        union = 0
+        for c in cubes:
+            f = c & m
+            if f != m:
+                count += 1
+                union |= f
+                if first < 0:
+                    first = f
+                elif f != first:
+                    binate = True
+        append((count, binate, union))
+    return out
 
 
-# Selection routes through the unified runtime config (repro.config):
-# a set-but-unknown substrate — a typo'd NOVA_SUBSTRATE, a bad
-# $NOVA_CONFIG key — is a hard import error (the config parser raises)
-# rather than a silent fall-through to the python backend: a user who
-# requested a backend expects the packed kernels, and discovering the
-# typo from a 4x-slower benchmark run is the worst way to learn.
-# Whitespace-only counts as unset; case is normalized so "NumPy" works.
-_env_choice: Optional[str] = config_mod.substrate()
-if _env_choice is not None:
-    select(_env_choice)
+def consensus_scan(fmt, cubes, cube: int) -> List[int]:
+    """MV consensus of *cube* with every cover cube, flattened.
+
+    Per pair: nothing at distance > 1; the classic single consensus
+    cube at distance 1 (dropped when empty); at distance 0 one cube
+    per variable with that variable's parts unioned (the
+    multiple-valued completeness requirement of iterated
+    consensus — see :mod:`repro.logic.exact`).
+    """
+    _count_kernel_call()
+    masks = fmt.masks
+    out: List[int] = []
+    append = out.append
+    for b in cubes:
+        inter = cube & b
+        empty_m = -1
+        n_empty = 0
+        for m in masks:
+            if not inter & m:
+                n_empty += 1
+                if n_empty > 1:
+                    break
+                empty_m = m
+        if n_empty > 1:
+            continue
+        union = cube | b
+        if n_empty == 1:
+            c = (inter & ~empty_m) | (union & empty_m)
+            for m in masks:
+                if not c & m:
+                    break
+            else:
+                append(c)
+            continue
+        for m in masks:
+            append((inter & ~m) | (union & m))
+    return out
+
+
+# ----------------------------------------------------------------------
+# encoding-cube (Face) kernels
+# ----------------------------------------------------------------------
+def face_members_ok(states: Sequence[int], codes: Sequence[int],
+                    ic: int, care: int, val: int) -> bool:
+    """§3.1 criterion over placed codes: state code lies in the face
+    (care, val) exactly when the state is a member of *ic*."""
+    _count_kernel_call()
+    for s, code in zip(states, codes):
+        if (((code ^ val) & care) == 0) != bool((ic >> s) & 1):
+            return False
+    return True
+
+
+def face_vertices(k: int, care: int, val: int) -> List[int]:
+    """Sorted codes of the face's vertices."""
+    _count_kernel_call()
+    free = [i for i in range(k) if not (care >> i) & 1]
+    out = []
+    for bits in range(1 << len(free)):
+        code = val
+        for j, pos in enumerate(free):
+            if (bits >> j) & 1:
+                code |= 1 << pos
+        out.append(code)
+    out.sort()
+    return out

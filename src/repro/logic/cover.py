@@ -113,13 +113,13 @@ class Cover:
         if stats is not None:
             stats.cofactor_calls += 1
         out = Cover(self.fmt)
-        out.cubes = backend.kernels.cofactor(self.fmt, self.cubes, against)
+        out.cubes = backend.cofactor(self.fmt, self.cubes, against)
         return out
 
     def intersect_cube(self, cube: int) -> "Cover":
         """Intersect every cube with *cube*, dropping empty results."""
         out = Cover(self.fmt)
-        out.cubes = backend.kernels.intersect_cube(self.fmt, self.cubes, cube)
+        out.cubes = backend.intersect_cube(self.fmt, self.cubes, cube)
         return out
 
     def contain_any(self, cube: int) -> bool:
@@ -128,11 +128,11 @@ class Cover:
         Cheaper than :meth:`contains_cube` (no tautology call) and the
         common fast path of the iterated-consensus containment filter.
         """
-        return backend.kernels.contain_any(self.fmt, self.cubes, cube)
+        return backend.contain_any(self.fmt, self.cubes, cube)
 
     def any_intersects(self, cube: int) -> bool:
         """True when *cube* shares a minterm with some cube of the cover."""
-        return backend.kernels.any_intersects(self.fmt, self.cubes, cube)
+        return backend.any_intersects(self.fmt, self.cubes, cube)
 
     def single_cube_containment(self) -> "Cover":
         """Drop every cube contained in another single cube of the cover.
@@ -151,7 +151,7 @@ class Cover:
         n_in = len(self.cubes)
         if n_in <= 1:
             return self.copy()
-        kept = backend.kernels.single_cube_containment(self.fmt, self.cubes)
+        kept = backend.single_cube_containment(self.fmt, self.cubes)
         if stats is not None:
             stats.scc_dropped += n_in - len(kept)
         out = Cover(self.fmt)

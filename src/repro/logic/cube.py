@@ -38,7 +38,6 @@ class Format:
         "width",
         "universe",
         "_bit_var",
-        "_kcache",
     )
 
     def __init__(self, parts: Sequence[int]):
@@ -65,8 +64,6 @@ class Format:
         for v, p in enumerate(self.parts):
             bit_var.extend([v] * p)
         self._bit_var: Tuple[int, ...] = tuple(bit_var)
-        # packing tables lazily attached by repro.logic.backend
-        self._kcache: object = None
 
     # ------------------------------------------------------------------
     # construction helpers

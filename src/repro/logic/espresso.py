@@ -37,27 +37,21 @@ def _valid_against_off(cube: int, off: Cover) -> bool:
     return not off.any_intersects(cube)
 
 
-def _expand_cube(cube: int, on_dc: Cover, off: Optional[Cover],
-                 off_packed=None) -> int:
+def _expand_cube(cube: int, on_dc: Cover, off: Optional[Cover]) -> int:
     """Grow *cube* to a prime implicant by raising one position at a time.
 
     Raising is monotone: once a raise fails it fails for every superset,
     so a single pass over the candidate positions yields a prime.
     Positions blocked by fewer off-cubes are tried first so large
-    expansions happen early.  ``off_packed`` is an optional
-    backend-packed handle for the off-set, reused across the whole
-    expand pass so the packing cost is paid once per cover.
+    expansions happen early.
     """
     fmt = on_dc.fmt if off is None else off.fmt
     stats = perf.STATS
-    kernels = backend.kernels
     candidates = [b for b in range(fmt.width) if not (cube >> b) & 1]
     if off is not None:
-        if off_packed is None:
-            off_packed = kernels.pack(fmt, off.cubes)
         # order by how many off-cubes conflict with each single raise
-        counts = kernels.intersect_counts(
-            fmt, off_packed, [cube | (1 << b) for b in candidates])
+        counts = backend.intersect_counts(
+            fmt, off.cubes, [cube | (1 << b) for b in candidates])
         blocking = dict(zip(candidates, counts))
         candidates.sort(key=blocking.__getitem__)
     if stats is not None:
@@ -67,7 +61,7 @@ def _expand_cube(cube: int, on_dc: Cover, off: Optional[Cover],
         tick()
         grown = cube | (1 << bit)
         if off is not None:
-            ok = not kernels.any_intersects(fmt, off_packed, grown)
+            ok = not backend.any_intersects(fmt, off.cubes, grown)
         else:
             ok = _is_implicant(grown, on_dc)
         if ok:
@@ -80,21 +74,19 @@ def _expand_cube(cube: int, on_dc: Cover, off: Optional[Cover],
 def expand(f: Cover, on_dc: Cover, off: Optional[Cover] = None) -> Cover:
     """Expand every cube of *f* to a prime, dropping newly covered cubes."""
     fmt = f.fmt
-    kernels = backend.kernels
     # expand small cubes first: they benefit the most and their primes
     # tend to swallow neighbouring cubes
-    counts = kernels.minterm_counts(fmt, f.cubes)
+    counts = backend.minterm_counts(fmt, f.cubes)
     order = sorted(range(len(f.cubes)), key=counts.__getitem__)
-    off_packed = kernels.pack(fmt, off.cubes) if off is not None else None
     covered = [False] * len(f.cubes)
     out = Cover(fmt)
     for i in order:
         tick()
         if covered[i]:
             continue
-        prime = _expand_cube(f.cubes[i], on_dc, off, off_packed)
+        prime = _expand_cube(f.cubes[i], on_dc, off)
         out.cubes.append(prime)
-        swallowed = kernels.contained_mask(fmt, f.cubes, prime)
+        swallowed = backend.contained_mask(fmt, f.cubes, prime)
         for j in order:
             if swallowed[j]:
                 covered[j] = True
@@ -104,7 +96,7 @@ def expand(f: Cover, on_dc: Cover, off: Optional[Cover] = None) -> Cover:
 def irredundant(f: Cover, dc: Optional[Cover] = None) -> Cover:
     """Greedy irredundant cover: drop cubes covered by the rest of f + dc."""
     fmt = f.fmt
-    counts = backend.kernels.minterm_counts(fmt, f.cubes)
+    counts = backend.minterm_counts(fmt, f.cubes)
     # try dropping small cubes first
     order = sorted(range(len(f.cubes)), key=counts.__getitem__)
     kept = [f.cubes[i] for i in order]
@@ -139,7 +131,7 @@ def reduce_cover(
     """
     fmt = f.fmt
     # reduce large cubes first, as espresso does (LASTGASP: smallest first)
-    counts = backend.kernels.minterm_counts(fmt, f.cubes)
+    counts = backend.minterm_counts(fmt, f.cubes)
     order = sorted(range(len(f.cubes)), key=counts.__getitem__,
                    reverse=largest_first)
     cubes = [f.cubes[i] for i in order]

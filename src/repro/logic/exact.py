@@ -27,30 +27,6 @@ class TooLarge(Exception):
     """Raised when the instance exceeds the exact solver's size guard."""
 
 
-def _consensus_cubes(fmt: Format, a: int, b: int) -> List[int]:
-    """Per-variable consensus set of two cubes.
-
-    In the multiple-valued / multi-output setting, iterated consensus
-    is complete only when distance-0 pairs also produce, for *every*
-    variable, the cube that unions that variable's parts and
-    intersects the rest (the classic distance-1 consensus is the
-    special case where only the conflicting variable yields a
-    non-empty cube).
-    """
-    inter = a & b
-    empty_vars = [v for v, m in enumerate(fmt.masks) if not inter & m]
-    if len(empty_vars) > 1:
-        return []
-    if len(empty_vars) == 1:
-        m = fmt.masks[empty_vars[0]]
-        c = (inter & ~m) | ((a | b) & m)
-        return [] if fmt.is_empty(c) else [c]
-    out = []
-    for m in fmt.masks:
-        out.append((inter & ~m) | ((a | b) & m))
-    return out
-
-
 def all_primes(on: Cover, dc: Optional[Cover] = None,
                max_cubes: int = 4000) -> Cover:
     """All prime implicants of the function ``on + dc``."""
@@ -61,22 +37,19 @@ def all_primes(on: Cover, dc: Optional[Cover] = None,
     cubes = _scc_set(fmt, pool)
     if len(cubes) > max_cubes:
         raise TooLarge(f"prime set exceeded {max_cubes} cubes")
-    kernels = backend.kernels
     changed = True
     while changed:
         changed = False
         current = sorted(cubes)
-        pool = kernels.pack(fmt, current)
         new: Set[int] = set()
         for i, a in enumerate(current):
-            # one batched scan replaces the inner pairwise loop; the
-            # per-pair cubes match _consensus_cubes (consensus is
-            # symmetric, so scanning the tail covers each pair once);
-            # slicing the packed pool reuses the round's packing
-            for c in kernels.consensus_scan(fmt, pool[i + 1:], a):
+            # one batched scan replaces the inner pairwise loop
+            # (consensus is symmetric, so scanning the tail covers each
+            # pair once)
+            for c in backend.consensus_scan(fmt, current[i + 1:], a):
                 if fmt.is_empty(c):
                     continue
-                if kernels.contain_any(fmt, pool, c):
+                if backend.contain_any(fmt, current, c):
                     continue
                 new.add(c)
         if new:
@@ -98,7 +71,7 @@ def _scc_set(fmt: Format, cubes: Set[int]) -> Set[int]:
     canonical ordering returns exactly the set the old sequential scan
     kept.
     """
-    return set(backend.kernels.single_cube_containment(fmt, list(cubes)))
+    return set(backend.single_cube_containment(fmt, list(cubes)))
 
 
 def _on_minterms(on: Cover, max_minterms: int) -> List[int]:

@@ -78,7 +78,7 @@ def _profile_split_var(fmt: Format, profile: VarProfile) -> Optional[int]:
 
 def _select_split_var(cover: Cover) -> Optional[int]:
     """Pick the most *binate* variable (ESPRESSO's selection rule)."""
-    profile = backend.kernels.var_profile(cover.fmt, cover.cubes)
+    profile = backend.var_profile(cover.fmt, cover.cubes)
     return _profile_split_var(cover.fmt, profile)
 
 
@@ -104,7 +104,7 @@ def _profile_reduction_cube(fmt: Format, profile: VarProfile) -> Optional[int]:
 
 def _unate_reduction_cube(cover: Cover) -> Optional[int]:
     """Tautology unate-reduction cofactor cube (see _profile_reduction_cube)."""
-    profile = backend.kernels.var_profile(cover.fmt, cover.cubes)
+    profile = backend.var_profile(cover.fmt, cover.cubes)
     return _profile_reduction_cube(cover.fmt, profile)
 
 
@@ -139,7 +139,7 @@ def _tautology_rec(cover: Cover, depth: int, stats) -> bool:
         return False
     # one batched per-variable profile serves the unate reduction and
     # the split-variable selection
-    profile = backend.kernels.var_profile(fmt, cubes)
+    profile = backend.var_profile(fmt, cubes)
     if UNATE_REDUCTION:
         lit = _profile_reduction_cube(fmt, profile)
         if lit is not None:
@@ -195,7 +195,7 @@ def _complement_rec(cover: Cover, depth: int = 1, stats=None) -> Cover:
         return out
     # one batched profile serves the missing-value factoring and the
     # split-variable selection below
-    profile = backend.kernels.var_profile(fmt, cubes)
+    profile = backend.var_profile(fmt, cubes)
     if UNATE_REDUCTION:
         # missing-value factoring: values of a variable inside no cube
         # complement wholesale; raising them in every cube removes the

@@ -1,68 +1,31 @@
-"""Tests for :mod:`repro.logic.backend` — selection and bit-identity.
+"""Tests for :mod:`repro.logic.backend` — the whole-cover kernels.
 
-The numpy substrate is an optional accelerator: every kernel must
-return exactly what the pure-python reference kernels return, including
-list ordering (the bit-identity contract of DESIGN.md §6.9).  The
-property tests drive both kernel sets over random multiple-valued
-formats — binary and wide MV parts, single- and multi-word packings,
-fields straddling 64-bit word boundaries — and random covers on both
-sides of the ``MIN_BATCH`` dispatch threshold.
+Every kernel must return exactly what a per-cube loop over the
+:class:`~repro.logic.cube.Format` primitives returns, including list
+ordering: the espresso loop, URP and the exact minimizer all depend on
+it.  The property tests drive the kernels over random multiple-valued
+formats — binary and wide MV parts, fields wider than a machine word —
+and random covers, including degenerate cubes with empty fields.
 """
 
 from __future__ import annotations
 
-import pytest
+from typing import List
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.logic import backend
-from repro.logic.backend import MIN_BATCH, PythonKernels
 from repro.logic.cover import Cover
 from repro.logic.cube import Format
 
-HAVE_NUMPY = "numpy" in backend.available_backends()
-needs_numpy = pytest.mark.skipif(not HAVE_NUMPY,
-                                 reason="numpy not installed")
-
-if HAVE_NUMPY:
-    from repro.logic.backend import _build_numpy_kernels
-    NUMPY_KERNELS = _build_numpy_kernels()
-
-
-class TestSelection:
-    def test_python_always_available(self):
-        assert "python" in backend.available_backends()
-
-    def test_select_unknown_backend_raises(self):
-        with pytest.raises(ValueError, match="unknown substrate"):
-            backend.select("fortran")
-
-    def test_use_restores_previous_backend(self):
-        before = backend.ACTIVE
-        with backend.use("python"):
-            assert backend.ACTIVE == "python"
-        assert backend.ACTIVE == before
-
-    @needs_numpy
-    def test_use_numpy_switches_kernels(self):
-        with backend.use("numpy"):
-            assert backend.ACTIVE == "numpy"
-            assert backend.kernels is not PythonKernels
-        assert backend.kernels is getattr(
-            backend, "_NUMPY_KERNELS") or backend.kernels is PythonKernels
-
-
-# ---------------------------------------------------------------------------
-# property tests: python vs numpy kernel equivalence
-# ---------------------------------------------------------------------------
-
-# parts chosen so draws cover binary vars, odd MV radixes, one-word
-# formats, multi-word formats, and fields straddling word boundaries
+# parts chosen so draws cover binary vars, odd MV radixes, and formats
+# wider than one 64-bit word
 PART_CHOICES = (2, 2, 2, 3, 4, 5, 17, 40)
 
 
 @st.composite
-def fmt_and_cover(draw, max_cubes=3 * MIN_BATCH):
+def fmt_and_cover(draw, max_cubes=96):
     parts = draw(st.lists(st.sampled_from(PART_CHOICES),
                           min_size=1, max_size=5))
     fmt = Format(parts)
@@ -86,124 +49,145 @@ def fmt_and_cover(draw, max_cubes=3 * MIN_BATCH):
     return fmt, cubes, probe
 
 
-@needs_numpy
+# ---------------------------------------------------------------------------
+# per-cube references over the Format primitives
+# ---------------------------------------------------------------------------
+def ref_cofactor(fmt: Format, cubes, against: int) -> List[int]:
+    return [fmt.cofactor(c, against) for c in cubes
+            if fmt.intersects(c, against)]
+
+
+def ref_intersect_cube(fmt: Format, cubes, cube: int) -> List[int]:
+    return [fmt.intersect(c, cube) for c in cubes
+            if not fmt.is_empty(fmt.intersect(c, cube))]
+
+
+def ref_single_cube_containment(fmt: Format, cubes) -> List[int]:
+    order = sorted(set(cubes), key=lambda c: (-fmt.minterm_count(c), c))
+    kept: List[int] = []
+    for c in order:
+        if not any(fmt.contains(k, c) for k in kept):
+            kept.append(c)
+    return kept
+
+
+def ref_var_profile(fmt: Format, cubes):
+    out = []
+    for m in fmt.masks:
+        fields = [c & m for c in cubes if c & m != m]
+        union = 0
+        for f in fields:
+            union |= f
+        out.append((len(fields), len(set(fields)) > 1, union))
+    return out
+
+
+def ref_consensus(fmt: Format, a: int, b: int) -> List[int]:
+    """Per-variable MV consensus set of one pair (iterated consensus is
+    complete for MV covers only when distance-0 pairs yield one cube
+    per variable)."""
+    inter = fmt.intersect(a, b)
+    union = fmt.supercube(a, b)
+    empty = [m for m in fmt.masks if not inter & m]
+    d = fmt.distance(a, b)
+    assert d == len(empty)
+    if d > 1:
+        return []
+    if d == 1:
+        m = empty[0]
+        c = (inter & ~m) | (union & m)
+        return [] if fmt.is_empty(c) else [c]
+    return [(inter & ~m) | (union & m) for m in fmt.masks]
+
+
+def ref_face_vertices(k: int, care: int, val: int) -> List[int]:
+    return [code for code in range(1 << k) if (code ^ val) & care == 0]
+
+
+# ---------------------------------------------------------------------------
+# property tests: kernels vs the per-cube references
+# ---------------------------------------------------------------------------
 class TestKernelEquivalence:
-    """Each numpy kernel must be bit-identical to the python reference."""
+    """Each kernel must equal its per-cube reference, order included."""
 
     @given(fmt_and_cover())
     @settings(max_examples=120, deadline=None)
     def test_intersect_contains_distance(self, data):
         fmt, cubes, probe = data
-        py, nk = PythonKernels, NUMPY_KERNELS
-        packed = nk.pack(fmt, cubes)
-        assert py.intersect_cube(fmt, cubes, probe) == \
-            nk.intersect_cube(fmt, packed, probe)
-        assert py.cofactor(fmt, cubes, probe) == \
-            nk.cofactor(fmt, packed, probe)
-        assert py.contain_any(fmt, cubes, probe) == \
-            nk.contain_any(fmt, packed, probe)
-        assert py.any_intersects(fmt, cubes, probe) == \
-            nk.any_intersects(fmt, packed, probe)
-        assert py.contained_mask(fmt, cubes, probe) == \
-            nk.contained_mask(fmt, cubes, probe)
-        assert py.distances(fmt, cubes, probe) == \
-            nk.distances(fmt, cubes, probe)
-        assert py.minterm_counts(fmt, cubes) == \
-            nk.minterm_counts(fmt, cubes)
+        assert backend.intersect_cube(fmt, cubes, probe) == \
+            ref_intersect_cube(fmt, cubes, probe)
+        assert backend.cofactor(fmt, cubes, probe) == \
+            ref_cofactor(fmt, cubes, probe)
+        assert backend.contain_any(fmt, cubes, probe) == \
+            any(fmt.contains(k, probe) for k in cubes)
+        assert backend.any_intersects(fmt, cubes, probe) == \
+            any(fmt.intersects(c, probe) for c in cubes)
+        assert backend.contained_mask(fmt, cubes, probe) == \
+            [fmt.contains(probe, c) for c in cubes]
+        assert backend.minterm_counts(fmt, cubes) == \
+            [fmt.minterm_count(c) for c in cubes]
 
     @given(fmt_and_cover())
     @settings(max_examples=80, deadline=None)
     def test_batch_and_scan_kernels(self, data):
         fmt, cubes, probe = data
-        py, nk = PythonKernels, NUMPY_KERNELS
-        packed = nk.pack(fmt, cubes)
         probes = cubes[::3] + [probe]
-        assert py.intersect_counts(fmt, cubes, probes) == \
-            nk.intersect_counts(fmt, packed, probes)
-        assert py.single_cube_containment(fmt, cubes) == \
-            nk.single_cube_containment(fmt, cubes)
-        assert py.var_profile(fmt, cubes) == nk.var_profile(fmt, cubes)
-        assert py.consensus_scan(fmt, cubes, probe) == \
-            nk.consensus_scan(fmt, packed, probe)
+        assert backend.intersect_counts(fmt, cubes, probes) == \
+            [sum(fmt.intersects(c, p) for c in cubes) for p in probes]
+        assert backend.single_cube_containment(fmt, cubes) == \
+            ref_single_cube_containment(fmt, cubes)
+        assert backend.var_profile(fmt, cubes) == \
+            ref_var_profile(fmt, cubes)
+        assert backend.consensus_scan(fmt, cubes, probe) == \
+            [c for b in cubes for c in ref_consensus(fmt, probe, b)]
 
     @given(fmt_and_cover())
     @settings(max_examples=60, deadline=None)
-    def test_cover_ops_identical_under_both_backends(self, data):
-        """Cover-level results (the public surface) match across backends."""
+    def test_cover_ops_match_per_cube_reference(self, data):
+        """The Cover methods (the public surface) route through the
+        kernels and agree with the references."""
         fmt, cubes, probe = data
         cover = Cover(fmt)
         cover.cubes = list(cubes)
-        with backend.use("python"):
-            a = (cover.cofactor(probe).cubes,
-                 cover.intersect_cube(probe).cubes,
-                 cover.single_cube_containment().cubes,
-                 cover.contain_any(probe),
-                 cover.any_intersects(probe))
-        with backend.use("numpy"):
-            b = (cover.cofactor(probe).cubes,
-                 cover.intersect_cube(probe).cubes,
-                 cover.single_cube_containment().cubes,
-                 cover.contain_any(probe),
-                 cover.any_intersects(probe))
-        assert a == b
+        assert cover.cofactor(probe).cubes == \
+            ref_cofactor(fmt, cubes, probe)
+        assert cover.intersect_cube(probe).cubes == \
+            ref_intersect_cube(fmt, cubes, probe)
+        assert cover.single_cube_containment().cubes == \
+            ref_single_cube_containment(fmt, cubes)
+        assert cover.contain_any(probe) == \
+            any(fmt.contains(k, probe) for k in cubes)
+        assert cover.any_intersects(probe) == \
+            any(fmt.intersects(c, probe) for c in cubes)
 
     @given(st.integers(min_value=1, max_value=10),
            st.randoms(use_true_random=False))
     @settings(max_examples=60, deadline=None)
     def test_face_kernels(self, k, rng):
-        py, nk = PythonKernels, NUMPY_KERNELS
         n = rng.randrange(1, 40)
         states = list(range(n))
         codes = [rng.getrandbits(k) for _ in states]
         ic = sum(1 << s for s in states if rng.random() < 0.5)
         care = rng.getrandbits(k)
         val = rng.getrandbits(k) & care
-        assert py.face_members_ok(states, codes, ic, care, val) == \
-            nk.face_members_ok(states, codes, ic, care, val)
-        assert py.face_vertices(k, care, val) == \
-            nk.face_vertices(k, care, val)
-
-
-@needs_numpy
-class TestPacked:
-    def test_slice_shares_arrays(self):
-        fmt = Format([2, 3, 2])
-        cubes = [fmt.universe - (i % 3) for i in range(1, 40)]
-        pool = NUMPY_KERNELS.pack(fmt, cubes)
-        tail = pool[5:]
-        assert len(tail) == len(cubes) - 5
-        assert tail.cubes == cubes[5:]
-        assert NUMPY_KERNELS.cofactor(fmt, tail, fmt.universe) == \
-            PythonKernels.cofactor(fmt, cubes[5:], fmt.universe)
-
-    def test_slice_propagates_cached_complement(self):
-        fmt = Format([2, 2])
-        cubes = [fmt.universe] * 20
-        pool = NUMPY_KERNELS.pack(fmt, cubes)
-        pool.inv  # materialize the cache
-        assert pool[3:]._inv is not None
-
-    def test_non_slice_indexing_rejected(self):
-        fmt = Format([2, 2])
-        pool = NUMPY_KERNELS.pack(fmt, [fmt.universe])
-        with pytest.raises(TypeError):
-            pool[0]
+        vertices = ref_face_vertices(k, care, val)
+        assert backend.face_vertices(k, care, val) == vertices
+        in_face = set(vertices)
+        assert backend.face_members_ok(states, codes, ic, care, val) == \
+            all((code in in_face) == bool((ic >> s) & 1)
+                for s, code in zip(states, codes))
 
 
 class TestEmptyCubeScc:
     def test_empty_subset_of_empty_is_kept_like_python(self):
         """Regression: all empty cubes tie at minterm count 0, so a
         bitwise subset can precede its container in canonical order and
-        the sequential reference keeps BOTH — the batched kernel must
-        not drop it via an all-pairs containment test."""
+        the sequential scan keeps BOTH — an all-pairs containment test
+        would wrongly drop it."""
         fmt = Format([2, 2])
         sub = 0b0001  # empty (var 1 field is 0), subset of the next
         sup = 0b0011  # empty as well, strictly more bits
-        # padding lifts the list over MIN_BATCH without containing the
-        # empties (bit 0 is clear, so sub/sup are not its subsets)
         cubes = [sub, sup] + [0b1110] * 40
-        expect = PythonKernels.single_cube_containment(fmt, cubes)
-        assert sub in expect and sup in expect
-        if HAVE_NUMPY:
-            got = NUMPY_KERNELS.single_cube_containment(fmt, cubes)
-            assert got == expect
+        kept = backend.single_cube_containment(fmt, cubes)
+        assert sub in kept and sup in kept
+        assert kept == ref_single_cube_containment(fmt, cubes)

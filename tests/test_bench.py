@@ -10,6 +10,7 @@ that is the CI contract the whole subsystem exists to enforce.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -254,10 +255,11 @@ class TestBenchRecord:
         # schema 0 (legacy) may be sparse
         assert BenchRecord(suite="s", units={}, schema=0).schema == 0
 
-    def test_environment_capture_names_the_substrate(self):
+    def test_environment_capture_names_interpreter_and_version(self):
         env = bench.capture_environment()
-        assert env["substrate"] in ("python", "numpy")
         assert "python" in env and "repro_version" in env
+        # the cover kernels are pure python: no backend to record
+        assert "substrate" not in env
 
 
 # ----------------------------------------------------------------------
@@ -554,6 +556,23 @@ class TestBenchCli:
                        "--max-regress", "20", "--suites", "substrate"])
         assert rc == 0
         assert "pass" in capsys.readouterr().out
+
+        # records appended while the environment still named a
+        # substrate load, compare and gate against fresh ones
+        old = record("substrate", {"u": 1.00}).to_dict()
+        old["environment"] = {"python": "3.11.7", "substrate": "python"}
+        fresh = dataclasses.replace(
+            record("substrate", {"u": 1.02}),
+            environment=bench.capture_environment())
+        traj.write_text(json.dumps({"schema": bench.TRAJECTORY_SCHEMA,
+                                    "records": [old, fresh.to_dict()]}),
+                        encoding="utf-8")
+        loaded = bench.load_trajectory(traj)
+        assert loaded[0].environment["substrate"] == "python"
+        assert bench.compare_suite(loaded, "substrate").status == "ok"
+        rc = cli_main(["bench", "gate", "--trajectory", str(traj),
+                       "--max-regress", "20", "--suites", "substrate"])
+        assert rc == 0
 
     def test_gate_fails_on_injected_slowdown(self, tmp_path, capsys):
         # the acceptance scenario: >20% injected regression -> exit 1

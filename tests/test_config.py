@@ -57,7 +57,6 @@ class TestRuntimeConfig:
         assert cfg.cache == "on"
         assert cfg.cache_dir is None
         assert cfg.cache_max_bytes == DEFAULT_CACHE_MAX_BYTES
-        assert cfg.substrate == "python"
         assert cfg.perf is False
         assert cfg.bench_jobs == 1
 
@@ -66,7 +65,6 @@ class TestRuntimeConfig:
 
     @pytest.mark.parametrize("field,bad", [
         ("cache", "sometimes"),
-        ("substrate", "fortran"),
         ("cache_max_bytes", -1),
         ("cache_max_bytes", "1000"),
         ("bench_jobs", 0),
@@ -86,8 +84,7 @@ class TestRuntimeConfig:
 
     def test_to_dict_round_trips_through_a_config_file(
             self, tmp_path, monkeypatch):
-        cfg = RuntimeConfig(cache="memory", substrate="python",
-                            bench_jobs=3, perf=True)
+        cfg = RuntimeConfig(cache="memory", bench_jobs=3, perf=True)
         write_config(tmp_path, monkeypatch, cfg.to_dict())
         assert get_config() == cfg
 
@@ -105,7 +102,6 @@ class TestEnvLayer:
         monkeypatch.setenv("NOVA_CACHE", "memory")
         monkeypatch.setenv("NOVA_CACHE_DIR", "/tmp/somewhere")
         monkeypatch.setenv("NOVA_CACHE_MAX_BYTES", "1024")
-        monkeypatch.setenv("NOVA_SUBSTRATE", "python")
         monkeypatch.setenv("NOVA_PERF", "1")
         monkeypatch.setenv("NOVA_BENCH_JOBS", "4")
         with warnings.catch_warnings():
@@ -113,8 +109,7 @@ class TestEnvLayer:
             cfg = get_config()
         assert cfg == RuntimeConfig(cache="memory",
                                     cache_dir="/tmp/somewhere",
-                                    cache_max_bytes=1024,
-                                    substrate="python", perf=True,
+                                    cache_max_bytes=1024, perf=True,
                                     bench_jobs=4)
 
     def test_consulting_a_legacy_var_warns_once(self, monkeypatch):
@@ -154,7 +149,6 @@ class TestEnvLayer:
         ("NOVA_CACHE", "of"),
         ("NOVA_CACHE_MAX_BYTES", "many"),
         ("NOVA_CACHE_MAX_BYTES", "-5"),
-        ("NOVA_SUBSTRATE", "cuda"),
         ("NOVA_PERF", "maybe"),
         ("NOVA_BENCH_JOBS", "0"),
         ("NOVA_BENCH_JOBS", "two"),
@@ -174,20 +168,12 @@ class TestEnvLayer:
         monkeypatch.setenv("NOVA_CACHE_MAX_BYTES", "garbage")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DeprecationWarning)
-            assert config.substrate() is None        # unaffected
+            assert config.perf_enabled() is False    # unaffected
             assert config.bench_jobs() == 1          # unaffected
             with pytest.raises(ValueError):
                 config.cache_max_bytes()             # its own error
             with pytest.raises(ValueError):
                 get_config()                         # eager full check
-
-    def test_substrate_accessor_distinguishes_unset_from_python(
-            self, monkeypatch):
-        assert config.substrate() is None
-        monkeypatch.setenv("NOVA_SUBSTRATE", "python")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            assert config.substrate() == "python"
 
 
 # ----------------------------------------------------------------------
@@ -218,13 +204,16 @@ class TestFileLayer:
         assert cfg.cache == "off" and cfg.bench_jobs == 5
 
     def test_unknown_keys_rejected(self, tmp_path, monkeypatch):
-        write_config(tmp_path, monkeypatch, {"cache_polcy": "off"})
-        with pytest.raises(ValueError, match="cache_polcy"):
-            get_config()
+        # a typo, and a key that named the removed cover-kernel backend
+        for body in ({"cache_polcy": "off"}, {"substrate": "python"}):
+            (key,) = body
+            write_config(tmp_path, monkeypatch, body, name=f"{key}.json")
+            with pytest.raises(ValueError, match=f"unknown.*{key}"):
+                get_config()
 
     def test_bad_value_names_file_key(self, tmp_path, monkeypatch):
-        write_config(tmp_path, monkeypatch, {"substrate": "tpu"})
-        with pytest.raises(ValueError, match="NOVA_CONFIG:substrate"):
+        write_config(tmp_path, monkeypatch, {"perf": "maybe"})
+        with pytest.raises(ValueError, match="NOVA_CONFIG:perf"):
             get_config()
 
     def test_missing_file_is_an_eager_error(self, tmp_path, monkeypatch):
@@ -250,11 +239,11 @@ class TestFileLayer:
     def test_narrow_accessor_unaffected_by_other_fields_file_errors(
             self, tmp_path, monkeypatch):
         """A bad *cache* value in the file must not break the
-        import-time substrate() read (repro.logic.backend); only
-        get_config and the cache accessors may trip on it."""
+        import-time perf_enabled() read (repro.perf); only get_config
+        and the cache accessors may trip on it."""
         write_config(tmp_path, monkeypatch, {"cache": "sideways",
-                                             "substrate": "python"})
-        assert config.substrate() == "python"
+                                             "perf": True})
+        assert config.perf_enabled() is True
         with pytest.raises(ValueError, match="NOVA_CONFIG:cache"):
             config.cache_policy()
         with pytest.raises(ValueError, match="NOVA_CONFIG:cache"):

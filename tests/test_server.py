@@ -533,7 +533,7 @@ def test_stats_hook_failure_does_not_leak_admission_slot():
 
 
 # ----------------------------------------------------------------------
-# environment validation (satellite: NOVA_CACHE / NOVA_SUBSTRATE)
+# environment validation (NOVA_CACHE)
 # ----------------------------------------------------------------------
 def test_unknown_nova_cache_is_rejected(monkeypatch):
     from repro import cache
@@ -556,18 +556,6 @@ def test_serve_refuses_to_boot_with_bad_cache_env(monkeypatch, capsys):
     rc = cli.main(["serve", "--port", "0"])
     assert rc == 2
     assert "NOVA_CACHE" in capsys.readouterr().err
-
-
-def test_unknown_nova_substrate_fails_import():
-    env = dict(os.environ)
-    env["NOVA_SUBSTRATE"] = "bogus"
-    env["PYTHONPATH"] = "src"
-    proc = subprocess.run(
-        [sys.executable, "-c", "import repro.logic.backend"],
-        capture_output=True, text=True, env=env,
-        cwd=str(Path(__file__).resolve().parents[1]))
-    assert proc.returncode != 0
-    assert "bogus" in proc.stderr
 
 
 # ----------------------------------------------------------------------
