@@ -29,7 +29,7 @@ from repro.fsm.symbolic_cover import build_symbolic_cover
 from repro.logic import backend
 from repro.logic import cover as cover_mod
 from repro.logic import urp
-from repro.logic.espresso import espresso
+from repro.logic.espresso import _expand_cube, espresso
 from repro.logic.urp import tautology
 from repro.symbolic.symbolic_min import symbolic_minimize
 
@@ -55,9 +55,10 @@ def _best_of(fn: Callable[[], object], repeats: int = KERNEL_REPEATS) -> float:
 def _reference_ops(sc) -> Dict[str, Tuple[Callable, Callable]]:
     """(per-cube reference, batched kernel) pairs computing identical work.
 
-    The reference side is the pre-6.x per-cube idiom, inlined verbatim;
-    the kernel side is what the hot callers (espresso's expand,
-    all_primes, the Cover methods) run now.
+    The reference side is the pre-6.x per-cube idiom, inlined verbatim
+    (for ``expand``, the per-candidate off-set scan EXPAND used before
+    its incremental blocking state); the kernel side is what the hot
+    callers (espresso's expand, all_primes, the Cover methods) run now.
     """
     fmt = sc.fmt
     big = sc.on + sc.dc + sc.off
@@ -65,9 +66,6 @@ def _reference_ops(sc) -> Dict[str, Tuple[Callable, Callable]]:
     off_cubes = sc.off.cubes
     probes = sc.on.cubes[:32]
     raise_mask = fmt.universe
-    seed = probes[0]
-    raises = [seed | (1 << b) for b in range(fmt.width)
-              if not (seed >> b) & 1]
 
     def ref_cofactor():
         out = []
@@ -118,18 +116,26 @@ def _reference_ops(sc) -> Dict[str, Tuple[Callable, Callable]]:
     def new_contain():
         return [backend.contain_any(fmt, cubes, q) for q in cubes]
 
-    def ref_intersects():
-        return [any(fmt.intersects(q, o) for o in off_cubes) for q in cubes]
+    def ref_expand():
+        # per-candidate EXPAND: order the free positions by how many
+        # off-cubes each single raise meets, then rescan the off-set
+        # for every raise
+        out = []
+        for q in probes:
+            free = [b for b in range(fmt.width) if not (q >> b) & 1]
+            blocking = {b: sum(1 for o in off_cubes
+                               if fmt.intersects(o, q | 1 << b))
+                        for b in free}
+            free.sort(key=blocking.__getitem__)
+            for b in free:
+                grown = q | 1 << b
+                if not any(fmt.intersects(o, grown) for o in off_cubes):
+                    q = grown
+            out.append(q)
+        return out
 
-    def new_intersects():
-        return [backend.any_intersects(fmt, off_cubes, q) for q in cubes]
-
-    def ref_blocking():
-        return [sum(1 for o in off_cubes if fmt.intersects(o, q))
-                for q in raises]
-
-    def new_blocking():
-        return backend.intersect_counts(fmt, off_cubes, raises)
+    def new_expand():
+        return [_expand_cube(q, sc.on, sc.off) for q in probes]
 
     masks = fmt.masks
 
@@ -161,8 +167,7 @@ def _reference_ops(sc) -> Dict[str, Tuple[Callable, Callable]]:
         "intersect": (ref_intersect, new_intersect),
         "scc": (ref_scc, new_scc),
         "contain_any": (ref_contain, new_contain),
-        "any_intersects": (ref_intersects, new_intersects),
-        "blocking_counts": (ref_blocking, new_blocking),
+        "expand": (ref_expand, new_expand),
         "consensus": (ref_consensus, new_consensus),
     }
 
@@ -242,12 +247,13 @@ def test_symbolic_minimize_cost(benchmark):
 def test_unate_reduction_ablation(benchmark):
     """URP recursions of a full symbolic minimization, with and without
     the unate reductions (tautology weakest-branch cofactor, complement
-    missing-value factoring).
+    missing-value factoring, sccc missing-value slabs).
 
-    Symbolic minimization is complement-heavy (every REDUCE computes
-    per-cube complements), where the reductions save close to half of
-    the Shannon splits: bbara goes from ~4.9k to ~2.6k recursions.
-    Results are identical either way — both reductions are exact.
+    Symbolic minimization is URP-heavy: every REDUCE asks one sccc
+    (smallest cube containing a complement) per cube, and every
+    IRREDUNDANT one tautology per cube.  bbara takes ~5.2k recursions
+    without the reductions and ~3.7k with them.  Results are identical
+    either way — the reductions are exact.
     """
     sc = build_symbolic_cover(get_machine("bbara"))
 

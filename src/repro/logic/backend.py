@@ -10,6 +10,15 @@ c)``) by :mod:`~repro.logic.cover`, :mod:`~repro.logic.espresso`,
 :mod:`~repro.logic.exact`, :mod:`~repro.logic.urp` and
 :mod:`repro.encoding.iexact`.
 
+The kernels: ``cofactor`` and ``intersect_cube`` sweeps,
+``contain_any`` and ``contained_mask`` containment scans,
+``minterm_counts``, ``single_cube_containment``, ``var_profile`` (the
+URP per-variable profile), ``consensus_scan``, and the encoding-face
+checks ``face_members_ok`` and ``face_vertices``.  The sweeps test
+every binary field of a cube at once through
+:attr:`~repro.logic.cube.Format.binary_lo` and loop only over the
+multiple-valued fields.
+
 Kernels never reorder results: filters preserve input order, and
 :func:`single_cube_containment` sorts by the canonical ``(minterm count
 desc, cube value asc)`` key.  ``tests/test_backend.py`` checks every
@@ -42,13 +51,16 @@ def cofactor(fmt, cubes, against: int) -> List[int]:
     """Cofactor every cube against *against*; drops non-intersecting
     cubes, preserves order."""
     _count_kernel_call()
-    masks = fmt.masks
+    lo = fmt.binary_lo
+    mv_masks = fmt.mv_masks
     raise_mask = fmt.universe & ~against
     out: List[int] = []
     append = out.append
     for c in cubes:
         x = c & against
-        for m in masks:
+        if (x | x >> 1) & lo != lo:
+            continue
+        for m in mv_masks:
             if not x & m:
                 break
         else:
@@ -60,12 +72,15 @@ def intersect_cube(fmt, cubes, cube: int) -> List[int]:
     """Intersect every cube with *cube*; drops empty results,
     preserves order."""
     _count_kernel_call()
-    masks = fmt.masks
+    lo = fmt.binary_lo
+    mv_masks = fmt.mv_masks
     out: List[int] = []
     append = out.append
     for c in cubes:
         r = c & cube
-        for m in masks:
+        if (r | r >> 1) & lo != lo:
+            continue
+        for m in mv_masks:
             if not r & m:
                 break
         else:
@@ -82,43 +97,10 @@ def contain_any(fmt, cubes, cube: int) -> bool:
     return False
 
 
-def any_intersects(fmt, cubes, cube: int) -> bool:
-    """True when *cube* shares a minterm with some cube of the cover."""
-    _count_kernel_call()
-    masks = fmt.masks
-    for c in cubes:
-        x = c & cube
-        for m in masks:
-            if not x & m:
-                break
-        else:
-            return True
-    return False
-
-
 def contained_mask(fmt, cubes, cube: int) -> List[bool]:
     """Per-cube flags: cover cube i is contained in *cube*."""
     _count_kernel_call()
     return [c & ~cube == 0 for c in cubes]
-
-
-def intersect_counts(fmt, cubes, probes: Sequence[int]) -> List[int]:
-    """For each probe cube, how many cover cubes it intersects."""
-    _count_kernel_call()
-    masks = fmt.masks
-    counts: List[int] = []
-    append = counts.append
-    for p in probes:
-        n = 0
-        for c in cubes:
-            x = c & p
-            for m in masks:
-                if not x & m:
-                    break
-            else:
-                n += 1
-        append(n)
-    return counts
 
 
 def minterm_counts(fmt, cubes) -> List[int]:

@@ -130,10 +130,6 @@ class Cover:
         """
         return backend.contain_any(self.fmt, self.cubes, cube)
 
-    def any_intersects(self, cube: int) -> bool:
-        """True when *cube* shares a minterm with some cube of the cover."""
-        return backend.any_intersects(self.fmt, self.cubes, cube)
-
     def single_cube_containment(self) -> "Cover":
         """Drop every cube contained in another single cube of the cover.
 

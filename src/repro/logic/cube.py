@@ -28,6 +28,12 @@ class Format:
     parts:
         Number of parts of each variable, in order.  Each entry must be
         at least 1 (an output variable may have a single part).
+
+    Besides the per-variable ``offsets`` and ``masks``, a format keeps
+    ``bit_var`` (the variable of every absolute bit position),
+    ``binary_lo`` (the lowest bit of every 2-part variable) and
+    ``mv_masks`` (the masks of all other variables), which let the
+    emptiness tests check every binary field in one step.
     """
 
     __slots__ = (
@@ -37,7 +43,9 @@ class Format:
         "masks",
         "width",
         "universe",
-        "_bit_var",
+        "bit_var",
+        "binary_lo",
+        "mv_masks",
     )
 
     def __init__(self, parts: Sequence[int]):
@@ -59,11 +67,19 @@ class Format:
         self.masks: Tuple[int, ...] = tuple(masks)
         self.width = off
         self.universe = (1 << off) - 1
-        # map from absolute bit index to its variable, for expand ordering
+        # map from absolute bit index to its variable
         bit_var = []
         for v, p in enumerate(self.parts):
             bit_var.extend([v] * p)
-        self._bit_var: Tuple[int, ...] = tuple(bit_var)
+        self.bit_var: Tuple[int, ...] = tuple(bit_var)
+        # bit ``offset`` of ``x | x >> 1`` is set exactly when that
+        # 2-part field of ``x`` is non-empty, so
+        # ``(x | x >> 1) & binary_lo == binary_lo`` says no binary field
+        # of ``x`` is empty; only the ``mv_masks`` fields need a loop
+        self.binary_lo = sum(1 << o for o, p in zip(offsets, self.parts)
+                             if p == 2)
+        self.mv_masks: Tuple[int, ...] = tuple(
+            m for m, p in zip(masks, self.parts) if p != 2)
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -115,14 +131,17 @@ class Format:
 
     def var_of_bit(self, bit: int) -> int:
         """Variable that absolute bit position *bit* belongs to."""
-        return self._bit_var[bit]
+        return self.bit_var[bit]
 
     # ------------------------------------------------------------------
     # cube algebra
     # ------------------------------------------------------------------
     def is_empty(self, cube: int) -> bool:
         """A cube is empty when some variable's field is all zero."""
-        for m in self.masks:
+        lo = self.binary_lo
+        if (cube | cube >> 1) & lo != lo:
+            return True
+        for m in self.mv_masks:
             if not cube & m:
                 return True
         return False
@@ -133,11 +152,7 @@ class Format:
 
     def intersects(self, a: int, b: int) -> bool:
         """True when the two cubes share at least one minterm."""
-        c = a & b
-        for m in self.masks:
-            if not c & m:
-                return False
-        return True
+        return not self.is_empty(a & b)
 
     def contains(self, outer: int, inner: int) -> bool:
         """True when cube *outer* contains cube *inner* (single cube)."""

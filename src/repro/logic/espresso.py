@@ -4,10 +4,17 @@ Two validity oracles are supported for EXPAND:
 
 * an explicit off-set (as in ``minimize(on, dc, off)`` used by NOVA's
   symbolic minimization loop) — a raise is legal when the grown cube
-  stays at distance >= 1 from every off-cube;
+  meets no off-cube.  One scan of the off-set per cube yields the
+  off-cubes one variable away; their fields in that variable form the
+  set of forbidden raises, updated incrementally as the cube grows
+  (see :func:`_expand_against_off`);
 * no off-set — a raise is legal when the grown cube is still an
   implicant of ``on + dc``, decided by a tautology call.  This avoids
   computing a global complement, which can blow up on wide covers.
+
+REDUCE shrinks each cube to the smallest cube containing the part of it
+the rest of the cover does not cover, computed directly by
+:func:`repro.logic.urp.sccc` rather than from a complement.
 
 The iteration accepts a :class:`repro.perf.Budget`: when the budget
 expires mid-loop the best cover found so far is returned (the result is
@@ -24,7 +31,7 @@ from typing import Optional
 
 from repro import perf
 from repro.errors import BudgetExhausted
-from repro.logic import backend
+from repro.logic import backend, urp
 from repro.logic.cover import Cover
 from repro.perf.budget import Budget, ambient, tick
 
@@ -33,41 +40,94 @@ def _is_implicant(cube: int, on_dc: Cover) -> bool:
     return on_dc.contains_cube(cube)
 
 
-def _valid_against_off(cube: int, off: Cover) -> bool:
-    return not off.any_intersects(cube)
-
-
 def _expand_cube(cube: int, on_dc: Cover, off: Optional[Cover]) -> int:
     """Grow *cube* to a prime implicant by raising one position at a time.
 
     Raising is monotone: once a raise fails it fails for every superset,
-    so a single pass over the candidate positions yields a prime.
-    Positions blocked by fewer off-cubes are tried first so large
-    expansions happen early.
+    so a single pass over the candidate positions, lowest bit first,
+    yields a prime.  With no off-set each raise is an implicant test
+    against ``on + dc``; with one, :func:`_expand_against_off` decides
+    every raise from state kept across the raises.
     """
     fmt = on_dc.fmt if off is None else off.fmt
     stats = perf.STATS
-    candidates = [b for b in range(fmt.width) if not (cube >> b) & 1]
-    if off is not None:
-        # order by how many off-cubes conflict with each single raise
-        counts = backend.intersect_counts(
-            fmt, off.cubes, [cube | (1 << b) for b in candidates])
-        blocking = dict(zip(candidates, counts))
-        candidates.sort(key=blocking.__getitem__)
     if stats is not None:
         stats.expand_cubes += 1
-        stats.expand_attempts += len(candidates)
-    for bit in candidates:
+        stats.expand_attempts += (fmt.universe & ~cube).bit_count()
+    if off is not None:
+        return _expand_against_off(fmt, cube, off.cubes, stats)
+    for bit in range(fmt.width):
+        if (cube >> bit) & 1:
+            continue
         tick()
         grown = cube | (1 << bit)
-        if off is not None:
-            ok = not backend.any_intersects(fmt, off.cubes, grown)
-        else:
-            ok = _is_implicant(grown, on_dc)
-        if ok:
+        if _is_implicant(grown, on_dc):
             cube = grown
             if stats is not None:
                 stats.expand_raises += 1
+    return cube
+
+
+def _expand_against_off(fmt, cube: int, off_cubes, stats) -> int:
+    """EXPAND against an explicit off-set, one pass over the off-cubes.
+
+    A raise is legal when the grown cube meets no off-cube.  One scan
+    records, per off-cube, the fields that are empty in ``cube & off``
+    (their count is the distance).  A raise changes one variable, so it
+    can only make a *distance-1* off-cube intersect, and only by adding
+    a bit of that off-cube's single empty field: the union of those
+    fields is the ``forbidden`` raise mask.  A raise of bit ``b`` in
+    variable ``v`` lowers by one the distance of the off-cubes that are
+    empty in ``v`` and hold ``b``; one reaching distance 1 adds its
+    field to ``forbidden``.  A distance-0 off-cube (the cube already
+    meets the off-set) forbids every raise.  ``forbidden`` only grows,
+    so the free positions are raised lowest first in a single sweep.
+
+    Trying positions in increasing order of the off-cubes each single
+    raise would meet (the classic blocking order) would raise the same
+    bits: a position with a non-zero count is exactly one forbidden
+    from the start, and it stays forbidden.
+    """
+    lo = fmt.binary_lo
+    mv_masks = fmt.mv_masks
+    forbidden = 0
+    pending = []  # (off-cube, its empty fields, distance), distance >= 2
+    for o in off_cubes:
+        x = cube & o
+        e = lo & ~(x | x >> 1)
+        empty = e | e << 1
+        dist = e.bit_count()
+        for m in mv_masks:
+            if not x & m:
+                empty |= m
+                dist += 1
+        if dist == 1:
+            forbidden |= o & empty
+        elif dist == 0:
+            return cube
+        else:
+            pending.append((o, empty, dist))
+    masks = fmt.masks
+    bit_var = fmt.bit_var
+    free = fmt.universe & ~cube & ~forbidden
+    while free:
+        tick()
+        bit = free & -free
+        cube |= bit
+        if stats is not None:
+            stats.expand_raises += 1
+        m = masks[bit_var[bit.bit_length() - 1]]
+        still = []
+        for o, empty, dist in pending:
+            if o & empty & bit:
+                if dist == 2:
+                    forbidden |= o & empty & ~m
+                    continue
+                still.append((o, empty & ~m, dist - 1))
+            else:
+                still.append((o, empty, dist))
+        pending = still
+        free &= ~forbidden & ~bit
     return cube
 
 
@@ -122,7 +182,10 @@ def reduce_cover(
 ) -> Cover:
     """Replace each cube by its maximal reduction (SCCC rule).
 
-    ``c_new = c  ∩  supercube(complement((F - c + D) cofactored by c))``.
+    ``c_new = c  ∩  sccc((F - c + D) cofactored by c)``, where ``sccc``
+    is the smallest cube containing the complement
+    (:func:`repro.logic.urp.sccc`); a cube the rest covers entirely
+    reduces to nothing and is dropped.
     Cubes are processed in place so later reductions see earlier ones,
     keeping the cover equivalent to the original function at all times.
     ``largest_first=False`` reverses the processing order — the
@@ -142,14 +205,7 @@ def reduce_cover(
         rest.cubes = cubes[:i] + cubes[i + 1:]
         if dc is not None:
             rest.cubes = rest.cubes + list(dc.cubes)
-        comp = rest.cofactor(c).complement()
-        if not comp.cubes:
-            cubes[i] = 0  # cube entirely covered by the rest: drop
-            continue
-        sccc = 0
-        for k in comp.cubes:
-            sccc |= k
-        cubes[i] = c & sccc
+        cubes[i] = c & urp.sccc(rest.cofactor(c))
     out = Cover(fmt)
     for c in cubes:
         if c and not fmt.is_empty(c):

@@ -1,12 +1,13 @@
-"""Unate-recursive paradigm: tautology and complement of MV covers.
+"""Unate-recursive paradigm: tautology, complement and the smallest
+cube containing the complement (``sccc``) of MV covers.
 
-Both procedures follow the classic ESPRESSO scheme: fast special cases,
+All three follow the classic ESPRESSO scheme: fast special cases,
 unate reductions, then Shannon expansion on the *most binate* variable,
 recursing on the cofactor against each part of that variable.  Because
 the parts of a variable partition its value set, the per-part recursion
 is exact for multiple-valued variables as well as binary ones.
 
-Two reductions avoid Shannon splits altogether (set
+These reductions avoid Shannon splits (set
 :data:`UNATE_REDUCTION` to ``False`` to measure their effect, see
 ``benchmarks/bench_substrate.py``):
 
@@ -21,6 +22,10 @@ Two reductions avoid Shannon splits altogether (set
   complement wholesale (the slab is entirely outside the cover), and
   the rest of the complement is computed with those values raised,
   which makes the variable full (or unate) for the recursion below.
+* **sccc** — the same missing values contribute their slab, a cube
+  full in every other variable: holes in two variables already give
+  the universe, and a hole in one leaves only that variable's other
+  values to split on.
 
 Perf counters (:mod:`repro.perf`) meter calls, recursion count, depth
 and avoided splits; they cost one attribute load when disabled.
@@ -237,3 +242,72 @@ def _complement_rec(cover: Cover, depth: int = 1, stats=None) -> Cover:
             if not fmt.is_empty(r):
                 out.cubes.append(r)
     return out
+
+
+def sccc(cover: Cover) -> int:
+    """Smallest cube containing the complement of *cover*; 0 for a
+    tautology.
+
+    Equals the OR of the cubes of :func:`complement` (whose cubes are
+    never empty, so their supercube is the supercube of the
+    complement's minterms) without building the complement: a Shannon
+    split ORs each branch's supercube, restricted to its part, into one
+    accumulator, and stops once the accumulator is the universe.
+    """
+    return _sccc_rec(cover.fmt, cover.cubes, 1, perf.STATS)
+
+
+def _sccc_rec(fmt: Format, cubes: List[int], depth: int, stats) -> int:
+    if stats is not None:
+        stats.urp_recursions += 1
+        if depth > stats.urp_max_depth:
+            stats.urp_max_depth = depth
+    universe = fmt.universe
+    if not cubes:
+        return universe
+    for c in cubes:
+        if c == universe:
+            return 0
+    result = 0
+    if len(cubes) == 1:
+        de_morgan = _complement_single_cube(fmt, cubes[0])
+        for c in de_morgan:
+            result |= c
+        return result
+    var = None
+    if UNATE_REDUCTION:
+        # missing values: a value of a variable inside no cube puts its
+        # whole slab in the complement, a cube full in every other
+        # variable.  Holes in two variables OR to the universe; a hole
+        # in one variable leaves only that variable's other values to
+        # decide, by splitting on it below.
+        union = 0
+        for c in cubes:
+            union |= c
+        holes = universe & ~union
+        if holes:
+            if stats is not None:
+                stats.unate_reductions += 1
+            var = fmt.bit_var[holes.bit_length() - 1]
+            if holes & ~fmt.masks[var]:
+                return universe
+            result = (universe & ~fmt.masks[var]) | holes
+    if var is None:
+        var = _profile_split_var(fmt, backend.var_profile(fmt, cubes))
+        if var is None:
+            return 0  # all cubes universe; handled above
+    rest = universe & ~fmt.masks[var]
+    offset = fmt.offsets[var]
+    for part in range(fmt.parts[var]):
+        bit = 1 << (offset + part)
+        if result & bit:
+            continue  # a hole value: its slab is already in
+        tick()
+        lit = rest | bit
+        sub = _sccc_rec(fmt, backend.cofactor(fmt, cubes, lit), depth + 1,
+                        stats)
+        if sub:
+            result |= sub & lit
+            if result == universe:
+                break
+    return result

@@ -51,9 +51,9 @@ __all__ = [
 
 _COUNTERS = (
     "tautology_calls",      # top-level tautology() invocations
-    "urp_recursions",       # recursive URP steps (tautology + complement)
+    "urp_recursions",       # URP steps of tautology + complement + sccc
     "urp_max_depth",        # deepest Shannon recursion seen
-    "unate_reductions",     # splits avoided by the unate-variable rule
+    "unate_reductions",     # unate / missing-value short-cuts (all three)
     "complement_calls",     # top-level complement() invocations
     "cofactor_calls",       # Cover.cofactor invocations
     "contains_calls",       # Cover.contains_cube invocations

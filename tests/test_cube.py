@@ -75,6 +75,30 @@ class TestFormat:
     def test_var_of_bit(self):
         fmt = Format([2, 3])
         assert [fmt.var_of_bit(b) for b in range(5)] == [0, 0, 1, 1, 1]
+        assert fmt.bit_var == (0, 0, 1, 1, 1)
+
+    def test_binary_and_mv_masks(self):
+        # offsets 0, 2, 5, 6, 8: only variables 0 and 3 have two parts
+        fmt = Format([2, 3, 1, 2, 4])
+        assert fmt.binary_lo == (1 << 0) | (1 << 6)
+        assert fmt.mv_masks == (fmt.masks[1], fmt.masks[2], fmt.masks[4])
+        for v, p in enumerate(fmt.parts):
+            low = 1 << fmt.offsets[v]
+            assert bool(fmt.binary_lo & low) == (p == 2)
+            assert (fmt.masks[v] in fmt.mv_masks) == (p != 2)
+        # the binary low mask touches no bit of a non-binary variable
+        for m in fmt.mv_masks:
+            assert fmt.binary_lo & m == 0
+
+    def test_is_empty_on_mixed_format(self):
+        fmt = Format([2, 3, 1, 2, 4])
+        full = fmt.universe
+        assert not fmt.is_empty(full)
+        for v in range(fmt.num_vars):
+            assert fmt.is_empty(full & ~fmt.masks[v])
+            # one part left in the field keeps the cube non-empty
+            one = 1 << fmt.offsets[v]
+            assert not fmt.is_empty((full & ~fmt.masks[v]) | one)
 
     def test_equality_and_hash(self):
         assert Format([2, 2]) == Format([2, 2])
