@@ -13,6 +13,16 @@ faces).  ``iexact_code`` sweeps cube dimensions and level vectors;
 ``semiexact_code`` is the bounded variant of §4.1 — minimum-level
 faces, MRV singleton ordering, and a ``max_work`` cap.
 
+The search keeps its state across assignments instead of rescanning
+it per step (DESIGN.md §6, item 16): readiness counts pick the next
+constraint node, per-state forbidden-vertex masks verify a state code
+with two bit tests, and once every constraint face is placed the codes
+are placed in a frozen MRV order.  It generates the same candidates
+in the same order and charges the budget once per candidate, like the
+rescanning engine ``tests/test_posequiv_property.py`` keeps as its
+oracle, so encodings and ``max_work`` trip points do not depend on the
+bookkeeping.
+
 Deliberate deviations from a literal reading of the paper are recorded
 in DESIGN.md §6: the two-phase backtracking of ``pos_equiv`` becomes
 plain chronological backtracking with per-node face generators, and the
@@ -23,8 +33,9 @@ satisfiable instances such as triangles of pair constraints).
 
 from __future__ import annotations
 
+import bisect
 import itertools
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro import perf
 from repro.constraints.faces import (
@@ -44,10 +55,6 @@ from repro.perf.budget import Budget, BudgetExceeded, tick
 # veto the assignment -- used by io_semiexact_code to enforce output
 # covering constraints while the input search runs
 IoCheck = Callable[[int, int, Dict[int, int]], bool]
-
-# back-compat alias: the bounded search used to raise its own exception
-_WorkLimit = BudgetExceeded
-
 
 # ----------------------------------------------------------------------
 # lower bounds on the cube dimension (§3.3.2)
@@ -113,8 +120,26 @@ def mincube_dim(ig: InputGraph) -> int:
 # ----------------------------------------------------------------------
 # the backtracking engine (pos_equiv)
 # ----------------------------------------------------------------------
+#: a singleton's vertex-phase MRV entry: (room, node, region masks);
+#: room is the region's level, -1 when the region is empty
+_Slot = Tuple[int, int, Optional[Tuple[int, int]]]
+
+
 class _PosEquiv:
-    """One restricted SUBPOSET EQUIVALENCE decision (fixed k, dimvect)."""
+    """One restricted SUBPOSET EQUIVALENCE decision (fixed k, dimvect).
+
+    The search runs in two phases.  Constraint nodes always outrank
+    singletons, and a constraint becomes selectable once its fathers
+    have faces, so every constraint face is placed before the first
+    state code: *no state has a code while constraint faces are being
+    chosen*.  Once no constraint is ready, all of them are placed, every
+    singleton's region and MRV key are fixed, and the vertex phase
+    places the codes in that frozen order (:meth:`_place_vertices`).
+
+    What the phases read is kept across ``_assign``/``_undo`` instead of
+    being rebuilt per search step: readiness counts of unplaced fathers,
+    the singletons' MRV order, and per-state forbidden-vertex masks.
+    """
 
     def __init__(
         self,
@@ -133,218 +158,207 @@ class _PosEquiv:
         self.budget = budget.sub(work=max_work) if budget is not None \
             else Budget(work=max_work)
         self.io_check = io_check
+        # faces of the universe and the placed constraint nodes; the
+        # singletons' vertex faces join once a solution is found
         self.enc: Dict[int, Face] = {ig.universe: Face.universe(k)}
-        self.used: Dict[Face, int] = {}
+        self.used: Set[Tuple[int, int]] = set()  # placed (care, val)
         self.codes: Dict[int, int] = {}  # state -> code, for io_check
-        # per-node father lists without the universe, precomputed once:
-        # the selection loop and the region computation run once per
-        # search node x candidate and must not re-filter every time
-        self._nodes = list(ig.non_universe_nodes())
+        nodes = ig.non_universe_nodes()
+        constraints = [ic for ic in nodes if ic & (ic - 1)]
         self._real_fathers: Dict[int, List[int]] = {
             ic: [f for f in ig.fathers[ic] if f != ig.universe]
-            for ic in self._nodes
+            for ic in nodes
         }
-        # region masks stay valid while only singletons are (un)assigned
-        # -- singleton codes are never anyone's father face -- so the
-        # memo survives the long vertex-placement phases of the search
-        self._region_memo: Dict[int, Optional[Tuple[int, int]]] = {}
+        # readiness: unplaced real fathers per constraint node; a node
+        # is ready (selectable) when its count is zero
+        self._pending = {ic: len(self._real_fathers[ic])
+                         for ic in constraints}
+        self._ready = {ic for ic in constraints if not self._pending[ic]}
+        # the static part of the selection key (larger faces first, then
+        # category 1); children are bitmasks over node indices, so the
+        # "shares a child with the last node" tie-break is one AND
+        index = {ic: i for i, ic in enumerate(ig.nodes)}
+        self._rank = {ic: (-self._target_level(ic), ig.category(ic) != 1)
+                      for ic in constraints}
+        self._child_bits = {ic: sum(1 << index[c] for c in ig.children[ic])
+                            for ic in constraints}
+        # per constraint: the constraints crossing it, memoized
+        self._crossing: Dict[int, List[int]] = {}
+        self._constraints = constraints
+        # every singleton's MRV slot, and all slots in sorted order;
+        # a face placed or undone marks its singleton children, which
+        # are re-slotted when the next vertex phase starts
+        # (with one state the universe is the only singleton: no slot)
+        self._slot: Dict[int, _Slot] = {
+            ic: self._mrv_slot(ic) for ic in nodes if ic & (ic - 1) == 0}
+        self._order: List[_Slot] = sorted(self._slot.values())
+        self._stale: Set[int] = set()
+        # sorted vertex lists of singleton regions, for the whole search
+        self._vertices: Dict[Tuple[int, int], List[int]] = {}
+        # forbidden vertices, one 2^k-bit field per state: codes inside
+        # a placed face whose constraint excludes the state, or outside
+        # one whose constraint includes it; restored from the stack.
+        # Fields start on byte boundaries so a face's vertex mask is
+        # copied into every field by repeating its bytes.
+        self._width = max(8, 1 << k)
+        self._forbid = 0
+        self._forbid_stack: List[int] = []
+        self._fields: Dict[int, int] = {}
+        self._all_states = self._state_fields(ig.universe)
 
     @property
     def work(self) -> int:
         return self.budget.work
 
-    # -- bookkeeping ----------------------------------------------------
-    def _charge(self) -> None:
-        self.budget.charge()
-
-    def _is_singleton(self, ic: int) -> bool:
-        return ic & (ic - 1) == 0
+    def _target_level(self, ic: int) -> int:
+        cardinality = self.ig.cardinality(ic)
+        if self.ig.category(ic) == 1:
+            return self.dimvect.get(ic, min_level(cardinality))
+        return min_level(cardinality)
 
     # -- verification -----------------------------------------------------
     # The checks realize the §3.1 criterion (f(ic) ∩ f(s) ≠ ∅ ⇔ s ∈ ic)
-    # incrementally: singleton faces are vertices (codes), every proposed
-    # face must contain exactly the member codes among those already
-    # placed, and fathers' faces must contain their descendants.  The
-    # §3.4.3 constraint-vs-constraint equalities are *not* enforced:
-    # taken literally they reject satisfiable instances (any triangle of
-    # pair constraints), which the real NOVA clearly encodes.
+    # incrementally: singleton faces are vertices (codes), each code
+    # must lie inside exactly the placed faces whose constraint holds
+    # its state (the forbidden masks), and fathers' faces contain their
+    # descendants because every candidate is drawn from the fathers'
+    # intersection.  The §3.4.3 constraint-vs-constraint equalities are
+    # *not* enforced: taken literally they reject satisfiable instances
+    # (any triangle of pair constraints), which the real NOVA encodes.
     def _verify(self, ic: int, face: Face) -> bool:
-        ig = self.ig
-        if face.cardinality < ig.cardinality(ic):
+        """Constraint-face check; no state has a code yet (see class)."""
+        if face.cardinality < self.ig.cardinality(ic):
             return False
-        if face in self.used:
+        care, val = face.care, face.val
+        if (care, val) in self.used:
             return False  # injectivity
-        # father conditions on the input poset
-        for fa in ig.fathers[ic]:
-            fa_face = self.enc.get(fa)
-            if fa_face is not None and not fa_face.contains(face):
-                return False
-        singleton = self._is_singleton(ic)
-        if singleton:
-            code = face.val
-            # the new code must lie inside exactly the assigned
-            # constraint faces whose constraint contains this state
-            for other, of in self.enc.items():
-                if other == ig.universe or other == ic:
-                    continue
-                member = (ic & other) != 0
-                if self._is_singleton(other):
-                    if of.val == code:
-                        return False
-                elif of.contains_code(code) != member:
-                    return False
-            if self.io_check is not None:
-                state = ic.bit_length() - 1
-                if not self.io_check(state, code, self.codes):
-                    return False
-            return True
-        # non-singleton: must contain exactly the member codes placed so
-        # far — one batched membership check over all placed codes
-        codes = self.codes
-        if codes and not backend.face_members_ok(
-                list(codes.keys()), list(codes.values()),
-                ic, face.care, face.val):
-            return False
         # sound forward pruning: two constraints sharing a state must get
-        # intersecting faces -- the shared state's code will lie in both
-        for other, of in self.enc.items():
-            if other == ig.universe or other == ic:
-                continue
-            if ic & other and face.intersect(of) is None:
+        # intersecting faces -- the shared state's code will lie in both.
+        # Placed ancestors contain the face already and descendants are
+        # not placed yet, so only crossing constraints can fail this.
+        crossing = self._crossing.get(ic)
+        if crossing is None:
+            crossing = self._crossing[ic] = [
+                o for o in self._constraints
+                if o & ic and o & ~ic and ic & ~o]
+        enc_get = self.enc.get
+        # nova-lint: disable=NV002 -- mask tests against the placed
+        # crossing faces; _search charges once per candidate face
+        for other in crossing:
+            of = enc_get(other)
+            if of is not None and (val ^ of.val) & care & of.care:
                 return False
         return True
 
-    def _assign(self, ic: int, face: Face) -> Optional[List[int]]:
-        """Record the assignment (returns the undo list)."""
+    def _assign(self, ic: int, face: Face) -> None:
+        """Place a constraint face and update what depends on it."""
         self.enc[ic] = face
-        self.used[face] = ic
-        if self._is_singleton(ic):
-            self.codes[ic.bit_length() - 1] = face.val
-        else:
-            self._region_memo.clear()
-        return [ic]
+        self.used.add((face.care, face.val))
+        self._ready.discard(ic)
+        self._touch_children(ic, -1)
+        inside = int.from_bytes(
+            self._face_bits(face).to_bytes(self._width // 8, "little")
+            * self.ig.n, "little")
+        members = self._state_fields(ic)
+        everyone = self._all_states
+        self._forbid_stack.append(self._forbid)
+        self._forbid |= inside & (everyone ^ members) | \
+            (inside ^ everyone) & members
 
-    def _undo(self, nodes: List[int]) -> None:
-        for node in nodes:
-            face = self.enc.pop(node)
-            self.used.pop(face, None)
-            if self._is_singleton(node):
-                self.codes.pop(node.bit_length() - 1, None)
-            else:
-                self._region_memo.clear()
+    def _undo(self, ic: int) -> None:
+        face = self.enc.pop(ic)
+        self.used.discard((face.care, face.val))
+        self._ready.add(ic)  # its fathers are still placed
+        self._touch_children(ic, +1)
+        self._forbid = self._forbid_stack.pop()
 
-    # -- node selection (next_to_code, §3.4.1) ----------------------------
-    def _selectable(self) -> List[int]:
-        enc = self.enc
-        out = []
-        for ic in self._nodes:
-            if ic in enc:
+    def _touch_children(self, ic: int, delta: int) -> None:
+        """A father of these nodes changed: recount, or mark stale."""
+        pending = self._pending
+        for child in self.ig.children[ic]:
+            count = pending.get(child)
+            if count is None:
+                self._stale.add(child)  # a singleton
                 continue
-            # encode fathers first (their faces bound ours)
-            for f in self._real_fathers[ic]:
-                if f not in enc:
-                    break
-            else:
-                out.append(ic)
+            pending[child] = count + delta
+            if count + delta == 0:
+                self._ready.add(child)
+            elif count == 0:
+                self._ready.discard(child)
+
+    def _mrv_slot(self, ic: int) -> _Slot:
+        masks = self._region_masks(ic)
+        room = -1 if masks is None else self.k - masks[0].bit_count()
+        return room, ic, masks
+
+    def _reslot(self, ic: int) -> None:
+        """Recompute a singleton's region and move it in the MRV order."""
+        old = self._slot[ic]
+        new = self._mrv_slot(ic)
+        if new != old:
+            order = self._order
+            del order[bisect.bisect_left(order, old)]
+            bisect.insort(order, new)
+            self._slot[ic] = new
+
+    def _face_bits(self, face: Face) -> int:
+        """The face's vertices as a 2^k-bit int (bit c set for code c)."""
+        bits = 1 << face.val
+        free = ~face.care
+        for pos in range(self.k):
+            if (free >> pos) & 1:
+                bits |= bits << (1 << pos)
+        return bits
+
+    def _state_fields(self, states: int) -> int:
+        """All 2^k bits of each listed state's forbidden-vertex field."""
+        out = self._fields.get(states)
+        if out is None:
+            out = 0
+            field = (1 << (1 << self.k)) - 1
+            for s in range(self.ig.n):
+                if (states >> s) & 1:
+                    out |= field << (s * self._width)
+            self._fields[states] = out
         return out
 
-    def _target_level(self, ic: int) -> int:
-        if self._is_singleton(ic):
-            return 0
-        cat = self.ig.category(ic)
-        if cat == 1:
-            return self.dimvect.get(ic, min_level(self.ig.cardinality(ic)))
-        return min_level(self.ig.cardinality(ic))
-
-    def _select_next(self, lic: Optional[int]) -> Optional[int]:
-        candidates = self._selectable()
-        if not candidates:
-            return None
-        # non-singleton constraints always outrank singletons (their key
-        # tuples sorted first), so singleton regions -- the expensive part
-        # of MRV -- only need computing when nothing but vertices is left
-        ig = self.ig
-        best = None
-        best_key: Optional[Tuple] = None
-        # nova-lint: disable=NV002 -- bounded per-node scan; the search
-        # is metered by _search's charge per candidate face, and adding
-        # charges here would shift the paper's max_work trip points
-        for ic in candidates:
-            if self._is_singleton(ic):
-                continue
-            shares = lic is not None and ig.share_children(ic, lic)
-            # larger faces first, then category 1, then children sharing
-            k = (-self._target_level(ic), ig.category(ic) != 1,
-                 not shares, ic)
-            if best_key is None or k < best_key:
-                best, best_key = ic, k
-        if best is not None:
-            return best
-        # nova-lint: disable=NV002 -- MRV scan over unplaced singletons;
-        # metered by _search's charge per candidate, and extra charges
-        # would change the max_work semantics of the bounded search
-        for ic in candidates:
-            # MRV: most-constrained singleton first (smallest region)
-            masks = self._region_masks(ic)
-            room = 0 if masks is None \
-                else 1 << (self.k - masks[0].bit_count())
-            k = (room, ic)
-            if best_key is None or k < best_key:
-                best, best_key = ic, k
-        return best
+    # -- node selection (next_to_code, §3.4.1) ----------------------------
+    def _select_next(self, lic: Optional[int]) -> int:
+        """The ready constraint node to place next (``_ready`` non-empty)."""
+        rank = self._rank
+        child_bits = self._child_bits
+        lic_bits = child_bits[lic] if lic is not None else 0
+        # larger faces first, then category 1, then children sharing
+        # with the last placed node
+        return min(self._ready, key=lambda ic: (
+            *rank[ic], not (child_bits[ic] & lic_bits), ic))
 
     # -- face generation (assign_face / genface, §3.4.2) -------------------
     def _region_masks(self, ic: int) -> Optional[Tuple[int, int]]:
-        """``(care, val)`` of the assigned fathers' intersection.
+        """``(care, val)`` of the placed fathers' intersection.
 
-        Pure integer arithmetic — the MRV selection calls this for
-        every unplaced singleton at every search node, so no Face
-        objects are allocated.  Returns ``None`` when the fathers'
-        faces are disjoint (empty region).
+        Pure integer arithmetic; ``None`` when the fathers' faces are
+        disjoint (empty region).
         """
-        memo = self._region_memo
-        if ic in memo:
-            return memo[ic]
         care = 0
         val = 0
         enc_get = self.enc.get
-        # nova-lint: disable=NV002 -- memoized pure-integer father scan
-        # on the hot MRV path; metered by _search's charge per candidate
+        # nova-lint: disable=NV002 -- pure-integer scan of one node's
+        # fathers; metered by the search's charge per candidate
         for fa in self._real_fathers[ic]:
             face = enc_get(fa)
             if face is None:
                 continue
             if (val ^ face.val) & care & face.care:
-                memo[ic] = None
                 return None
             care |= face.care
             val |= face.val
-        memo[ic] = (care, val)
         return care, val
 
-    def _region(self, ic: int) -> Optional[Face]:
-        """Intersection of the assigned fathers' faces: the search region."""
-        masks = self._region_masks(ic)
-        if masks is None:
-            return None
-        return Face(self.k, masks[0], masks[1])
-
     def _candidate_faces(self, ic: int) -> Iterator[Face]:
+        """Faces for a constraint node, in genface order."""
         ig = self.ig
-        region = self._region(ic)
-        if region is None:
-            return
-        if self._is_singleton(ic):
-            # singleton faces are vertices: the state codes, enumerated
-            # in sorted order by one batched kernel call
-            # nova-lint: disable=NV002 -- candidate generator; _search
-            # charges the budget once per face it consumes from here
-            for code in backend.face_vertices(
-                    self.k, region.care, region.val):
-                yield Face.vertex(self.k, code)
-            return
-        cat = ig.category(ic)
-        if cat == 1:
+        if ig.category(ic) == 1:
             level = self.dimvect.get(ic, min_level(ig.cardinality(ic)))
             gen = faces_of_level(self.k, level)
             if len(self.enc) == 1:
@@ -355,6 +369,10 @@ class _PosEquiv:
                     return
             yield from gen
             return
+        masks = self._region_masks(ic)
+        if masks is None:
+            return
+        region = Face(self.k, masks[0], masks[1])
         # category 2/3: faces inside the region, tightest level first
         low = min_level(ig.cardinality(ic))
         # nova-lint: disable=NV002 -- candidate generator; _search
@@ -378,37 +396,94 @@ class _PosEquiv:
                 stats.pos_equiv_work += self.budget.work
 
     def _search(self, lic: Optional[int]) -> bool:
+        if not self._ready:
+            return self._place_vertices()
         ic = self._select_next(lic)
-        if ic is None:
-            return self._final_check()
         for face in self._candidate_faces(ic):
-            self._charge()
+            self.budget.charge()
             if not self._verify(ic, face):
                 continue
-            done = self._assign(ic, face)
-            if done is None:
-                continue
+            self._assign(ic, face)
             if self._search(ic):
                 return True
-            self._undo(done)
+            self._undo(ic)
         return False
 
+    def _place_vertices(self) -> bool:
+        """The vertex phase: every constraint face is placed.
+
+        MRV picks the unplaced singleton with the smallest region,
+        ``(k - care.bit_count(), ic)`` with -1 for an empty one.  No
+        region changes from here on, so the picks follow the frozen
+        ``_order`` and the search is a plain DFS over it: one charge per
+        candidate code, two bit tests plus ``io_check`` per check.
+        """
+        k = self.k
+        # nova-lint: disable=NV002 -- re-slots the singletons whose
+        # fathers changed since the last vertex phase, a few per phase
+        for ic in self._stale:
+            self._reslot(ic)
+        self._stale.clear()
+        order = self._order
+        vertex_memo = self._vertices
+        forbid = self._forbid
+        width = self._width
+        field = (1 << (1 << k)) - 1
+        io_check = self.io_check
+        codes = self.codes
+        charge = self.budget.charge
+
+        def place(depth: int, used: int) -> bool:
+            if depth == len(order):
+                return self._final_check()
+            _, ic, masks = order[depth]
+            if masks is None:
+                return False  # empty region: no candidate codes
+            vertices = vertex_memo.get(masks)
+            if vertices is None:
+                vertices = vertex_memo[masks] = backend.face_vertices(
+                    k, masks[0], masks[1])
+            state = ic.bit_length() - 1
+            blocked = (forbid >> (state * width)) & field | used
+            for code in vertices:
+                charge()
+                if (blocked >> code) & 1:
+                    continue
+                if io_check is not None and \
+                        not io_check(state, code, codes):
+                    continue
+                codes[state] = code
+                if place(depth + 1, used | 1 << code):
+                    return True
+                del codes[state]
+            return False
+
+        return place(0, 0)
+
     def _final_check(self) -> bool:
-        """Authoritative face-embedding check on the complete assignment."""
+        """Authoritative face-embedding check on the complete assignment.
+
+        On success the singletons' vertex faces join ``enc``.
+        """
         ig = self.ig
         states = list(range(ig.n))
         try:
             codes = [self.codes[s] for s in states]
         except KeyError:
             return False  # some state never received a code
+        faces = {ig.universe: self.enc[ig.universe]}
         # nova-lint: disable=NV002 -- runs once per *complete*
         # assignment, after the charged search has already paid for
         # every node that led here
         for ic in ig.non_universe_nodes():
-            face = self.enc[ic]
+            face = self.enc.get(ic)
+            if face is None:  # a singleton: the vertex of its code
+                face = Face.vertex(self.k, codes[ic.bit_length() - 1])
             if not backend.face_members_ok(
                     states, codes, ic, face.care, face.val):
                 return False
+            faces[ic] = face
+        self.enc = faces
         return True
 
 

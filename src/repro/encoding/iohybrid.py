@@ -36,10 +36,21 @@ class IoStats:
 
 
 def _edge_check(active_edges: List[Tuple[int, int]]):
-    """Veto hook enforcing covering edges among already-fixed codes."""
+    """Veto hook enforcing covering edges among already-fixed codes.
+
+    Only the edges incident to the state being placed are tested.  The
+    search starts with no codes and calls the hook once per placement,
+    so an edge whose endpoints both have codes already passed when its
+    later endpoint was placed.
+    """
+    incident: Dict[int, List[Tuple[int, int]]] = {}
+    for u, v in active_edges:
+        incident.setdefault(u, []).append((u, v))
+        if v != u:
+            incident.setdefault(v, []).append((u, v))
 
     def check(state: int, code: int, codes: Dict[int, int]) -> bool:
-        for u, v in active_edges:
+        for u, v in incident.get(state, ()):
             cu = code if u == state else codes.get(u)
             cv = code if v == state else codes.get(v)
             if cu is None or cv is None:

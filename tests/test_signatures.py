@@ -2,8 +2,9 @@
 
 The quick slice of the 91-pair golden matrix: every non-iexact pair,
 plus iexact on the machines where it finishes well within a second.
-``benchmarks/check_signatures.py`` checks the full matrix (CI runs it)
-and, with ``--update``, rewrites the golden file.
+``benchmarks/check_signatures.py`` checks the full matrix and the
+paper30 ihybrid/igreedy slice (CI runs both) and, with ``--update``,
+rewrites the golden file.
 """
 
 from __future__ import annotations
@@ -24,9 +25,10 @@ GOLDEN = signatures.load_golden()
 
 
 def test_golden_file_covers_the_full_matrix():
-    assert set(GOLDEN) == {signatures.key(m, a)
-                           for m, a in signatures.all_pairs()}
-    assert len(GOLDEN) == 91
+    small = {signatures.key(m, a) for m, a in signatures.all_pairs()}
+    paper30 = {signatures.key(m, a) for m, a in signatures.paper30_pairs()}
+    assert len(small) == 91 and len(paper30) == 60
+    assert set(GOLDEN) == small | paper30
 
 
 def test_quick_slice_is_every_non_iexact_pair_plus_fast_iexact():
