@@ -1,4 +1,4 @@
-"""Latency/throughput snapshot of the encode service (BENCH_PR7.json).
+"""Latency/throughput snapshot of the encode service.
 
 Boots the service in-process (real HTTP over loopback, real worker
 processes) and measures the four serving regimes against each other:
@@ -20,7 +20,11 @@ processes) and measures the four serving regimes against each other:
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/bench_service.py --out BENCH_PR7.json
+    PYTHONPATH=src python benchmarks/bench_service.py --out bench-service.json
+
+CI checks the report's keys against a literal set.  The first
+committed snapshot lives on as a ``legacy-*`` record of
+``BENCH_TRAJECTORY.json``.
 """
 
 from __future__ import annotations

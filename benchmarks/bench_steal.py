@@ -1,4 +1,4 @@
-"""Work-stealing batch runner scaling snapshot (BENCH_PR8.json).
+"""Work-stealing batch runner scaling snapshot.
 
 Runs the same paced task manifest under 1, 2, and 4 cooperating
 claimant processes (``BatchRunner.join``) and measures wall clock,
@@ -16,7 +16,11 @@ set stays complete.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/bench_steal.py --out BENCH_PR8.json
+    PYTHONPATH=src python benchmarks/bench_steal.py --out bench-steal.json
+
+CI checks the report's keys against a literal set.  The first
+committed snapshot lives on as a ``legacy-*`` record of
+``BENCH_TRAJECTORY.json``.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ Import from here (or from the :mod:`repro` package root, which mirrors
 this module) rather than from internal modules: everything re-exported
 below is covered by the compatibility policy in README §Versioning —
 stable within a major version, with deprecations announced one minor
-release ahead (``encode_fsm(rng=...)`` is the current example).
+release ahead.
 
 Internal module paths (``repro.encoding.nova``, ``repro.logic.*``, ...)
 may move without notice; these names will not.

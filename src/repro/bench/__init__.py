@@ -16,9 +16,9 @@ Layers, bottom up:
   folds the journal back into one record.
 * :mod:`repro.bench.trajectory` — the append-only
   ``BENCH_TRAJECTORY.json`` store, the latest-vs-baseline comparator,
-  the CI regression gate, and the legacy ``BENCH_PR*.json`` importer.
+  and the CI regression gate.
 
-The ``nova bench`` CLI (``run`` / ``compare`` / ``gate`` / ``import``)
+The ``nova bench`` CLI (``run`` / ``compare`` / ``gate``)
 is the front end; ``benchmarks/specs/`` holds the shipped suite
 definitions.
 """
@@ -40,7 +40,6 @@ from repro.bench.trajectory import (
     append_record,
     compare_suite,
     gate,
-    import_legacy,
     load_trajectory,
     save_trajectory,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "compare_suite",
     "compile_tasks",
     "gate",
-    "import_legacy",
     "load_spec",
     "load_trajectory",
     "mad_reject",

@@ -4,8 +4,8 @@ One home for the selection logic that used to be copy-pasted between
 ``benchmarks/conftest.py`` and the table CLI: which machines a harness
 actually runs is the *table's* machine set intersected with the active
 quick-slice (``NOVA_BENCH_SET``, default ``small``), and how wide it
-runs comes from the runtime config (``bench_jobs`` — the deprecated
-``NOVA_BENCH_JOBS`` still works through the shim).
+runs comes from the runtime config (``bench_jobs``, or
+``NOVA_BENCH_JOBS``).
 
 Keeping this in the package (not in a conftest) means the pytest
 harness, the ``nova table`` command, and the ``nova bench`` sweeps all

@@ -2,10 +2,9 @@
 
 One record format is shared by every producer and consumer of timing
 data: ``nova bench run`` emits it, the trajectory store
-(:mod:`repro.bench.trajectory`) appends and compares it, and the legacy
-``BENCH_PR6/7/8.json`` importer folds old one-off reports into it (with
-``schema: 0`` provenance so consumers know those fields were
-reconstructed, not measured under this protocol).
+(:mod:`repro.bench.trajectory`) appends and compares it.  The
+``schema: 0`` records of the pre-observatory reports mark fields that
+were reconstructed, not measured under this protocol.
 
 A record is one *suite* (a named :class:`~repro.bench.spec.SweepSpec`)
 run once: per-unit :class:`~repro.bench.timing.SampleStats` keyed by

@@ -110,8 +110,8 @@ def summarize(samples: Sequence[float],
     """Robust summary of raw duration samples.
 
     ``std`` is the population standard deviation (the sample set *is*
-    the population we measured — consistent with the historical
-    ``BENCH_PR6.json`` protocol).
+    the population we measured — consistent with the protocol of the
+    historical ``legacy-*`` cover-kernel trajectory records).
     """
     if not samples:
         raise ValueError("cannot summarize zero samples")

@@ -15,11 +15,11 @@ comparable baseline *pass* by default (a brand-new suite cannot be a
 regression) unless ``require_baseline`` is set, which is how CI
 distinguishes "first record ever" from "someone deleted the history".
 
-Legacy one-off reports (``BENCH_PR6/7/8.json``) fold in through
-:func:`import_legacy` as ``schema: 0`` records under ``legacy-*``
-suite names: their numbers were measured under older protocols (no MAD
-rejection, some without std at all), so they are kept for the history
-but can never falsely align against a live gated suite.
+The ``schema: 0`` records under ``legacy-*`` suite names hold the
+pre-observatory one-off reports: their numbers were measured under
+older protocols (no MAD rejection, some without std at all), so they
+are kept for the history but can never falsely align against a live
+gated suite.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.bench.record import SCHEMA_VERSION, BenchRecord
-from repro.bench.timing import SampleStats
 
 __all__ = [
     "DEFAULT_GATE_SUITES",
@@ -43,7 +42,6 @@ __all__ = [
     "append_record",
     "compare_suite",
     "gate",
-    "import_legacy",
     "load_trajectory",
     "save_trajectory",
 ]
@@ -53,9 +51,6 @@ DEFAULT_PATH = "BENCH_TRAJECTORY.json"
 
 #: Suites whose regression fails CI (the substrate and table suites).
 DEFAULT_GATE_SUITES = ("substrate", "table3", "table6", "table7")
-
-#: The pre-observatory reports import_legacy knows how to fold in.
-LEGACY_FILES = ("BENCH_PR6.json", "BENCH_PR7.json", "BENCH_PR8.json")
 
 
 # ----------------------------------------------------------------------
@@ -142,8 +137,8 @@ def compare_suite(records: Sequence[BenchRecord],
                   suite: str) -> SuiteComparison:
     """Latest record of *suite* vs the newest earlier comparable one.
 
-    Comparable means: same suite name, schema >= 1 (legacy imports are
-    history, not baselines), and at least one unit key in common with
+    Comparable means: same suite name, schema >= 1 (``legacy-*`` records
+    are history, not baselines), and at least one unit key in common with
     positive means on both sides.
     """
     history = [r for r in records if r.suite == suite and r.schema >= 1]
@@ -226,139 +221,6 @@ def gate(records: Sequence[BenchRecord],
         regressions=tuple(regressions),
         missing=tuple(missing),
     )
-
-
-# ----------------------------------------------------------------------
-# legacy import
-# ----------------------------------------------------------------------
-def _legacy_stats(d: Dict, samples_default: int = 1) -> SampleStats:
-    """A schema-0 SampleStats from a legacy ``{mean,std,samples}`` blob.
-
-    min/median were not recorded by the old protocols; they are
-    reconstructed as the mean, which keeps the dataclass total without
-    inventing precision — comparisons only ever read ``mean``.
-    """
-    mean = float(d["mean"])
-    return SampleStats(
-        mean=mean,
-        std=float(d.get("std", 0.0)),
-        min=mean,
-        median=mean,
-        samples=int(d.get("samples", samples_default)),
-    )
-
-
-def _import_pr6(data: Dict, source: str) -> List[BenchRecord]:
-    kernel_units = {}
-    for machine, info in data.get("cover_kernels", {}).items():
-        for op, blob in info.get("ops", {}).items():
-            for variant in ("before_s", "after_s"):
-                if variant in blob:
-                    key = f"{machine}/{op}/{variant[:-2]}"
-                    kernel_units[key] = _legacy_stats(blob[variant])
-    table_units = {}
-    for table, variants in data.get("tables_wall_clock_s", {}).items():
-        for variant, blob in variants.items():
-            table_units[f"{table}/{variant}"] = _legacy_stats(blob)
-    out = []
-    if kernel_units:
-        out.append(BenchRecord(
-            suite="legacy-pr6-cover-kernels", units=kernel_units,
-            schema=0, label="PR6",
-            notes={"source": source, "reconstructed": True,
-                   "protocol": data.get("protocol", {}).get("kernel_suite",
-                                                            "")}))
-    if table_units:
-        out.append(BenchRecord(
-            suite="legacy-pr6-tables", units=table_units,
-            schema=0, label="PR6",
-            notes={"source": source, "reconstructed": True,
-                   "protocol": data.get("protocol", {}).get("tables", "")}))
-    return out
-
-
-def _import_pr7(data: Dict, source: str) -> List[BenchRecord]:
-    units = {}
-    for phase in ("cold", "warm", "uncoalesced", "coalesced", "overload"):
-        blob = data.get(phase)
-        if not isinstance(blob, dict):
-            continue
-        if phase == "overload":
-            # overload recorded only its reject latency distribution
-            blob = blob.get("reject_latency_ms")
-            if not isinstance(blob, dict):
-                continue
-        elif phase == "uncoalesced" and "wall_ms" in blob:
-            # one wall-clock figure for the whole 8-client burst
-            blob = {"mean_ms": blob["wall_ms"],
-                    "clients": blob.get("clients", 1)}
-        if "mean_ms" not in blob:
-            continue
-        mean = float(blob["mean_ms"]) / 1e3
-        units[phase] = SampleStats(
-            mean=mean,
-            std=0.0,  # the PR7 report recorded p50/max, never a std
-            min=mean,
-            median=float(blob.get("p50_ms", blob["mean_ms"])) / 1e3,
-            samples=int(blob.get("n", blob.get("clients", 1))),
-        )
-    if not units:
-        return []
-    return [BenchRecord(
-        suite="legacy-pr7-encode-service", units=units, schema=0,
-        label="PR7",
-        notes={"source": source, "reconstructed": True,
-               "python": data.get("python", "")})]
-
-
-def _import_pr8(data: Dict, source: str) -> List[BenchRecord]:
-    units = {}
-    for row in data.get("scaling", []):
-        if "claimants" in row and "wall_s" in row:
-            mean = float(row["wall_s"])
-            units[f"claimants{row['claimants']}"] = SampleStats(
-                mean=mean, std=0.0, min=mean, median=mean, samples=1)
-    reclaim = data.get("reclaim")
-    if isinstance(reclaim, dict) and "wall_s" in reclaim:
-        mean = float(reclaim["wall_s"])
-        units["reclaim"] = SampleStats(
-            mean=mean, std=0.0, min=mean, median=mean, samples=1)
-    if not units:
-        return []
-    return [BenchRecord(
-        suite="legacy-pr8-steal", units=units, schema=0, label="PR8",
-        notes={"source": source, "reconstructed": True,
-               "machines": list(data.get("machines", []))})]
-
-
-def import_legacy(root: Union[str, Path],
-                  trajectory: Union[str, Path, None] = None,
-                  ) -> List[BenchRecord]:
-    """Fold every legacy ``BENCH_PR*.json`` under *root* into records.
-
-    Returns the imported records; when *trajectory* is given they are
-    appended to it — skipping any whose (suite, label) already exists,
-    so the one-shot import is idempotent.
-    """
-    imported: List[BenchRecord] = []
-    for name in LEGACY_FILES:
-        path = Path(root) / name
-        if not path.exists():
-            continue
-        data = json.loads(path.read_text(encoding="utf-8"))
-        if name == "BENCH_PR6.json":
-            imported.extend(_import_pr6(data, name))
-        elif name == "BENCH_PR7.json":
-            imported.extend(_import_pr7(data, name))
-        else:
-            imported.extend(_import_pr8(data, name))
-    if trajectory is not None:
-        existing = load_trajectory(trajectory)
-        seen = {(r.suite, r.label) for r in existing}
-        fresh = [r for r in imported if (r.suite, r.label) not in seen]
-        if fresh:
-            save_trajectory(trajectory, existing + fresh)
-    return imported
 
 
 # keep the public schema constant importable from one obvious place

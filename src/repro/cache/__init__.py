@@ -24,10 +24,9 @@ Configuration
 Everything environmental routes through :mod:`repro.config` (the
 unified :class:`~repro.config.RuntimeConfig`): the ``cache`` policy
 consulted by ``auto``, the disk-tier root (default ``~/.cache/nova``)
-and the prune budget (default 256 MiB).  The legacy ``NOVA_CACHE`` /
-``NOVA_CACHE_DIR`` / ``NOVA_CACHE_MAX_BYTES`` variables keep working
-through the config module's deprecation shim; prefer a ``$NOVA_CONFIG``
-file or :func:`repro.config.config_scope`.
+and the prune budget (default 256 MiB), set by the ``NOVA_CACHE`` /
+``NOVA_CACHE_DIR`` / ``NOVA_CACHE_MAX_BYTES`` variables, a
+``$NOVA_CONFIG`` file or :func:`repro.config.config_scope`.
 
 The module-level :func:`cache_info` / :func:`cache_clear` /
 :func:`cache_prune` back both the ``nova cache`` CLI and the

@@ -230,6 +230,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             task_timeout=args.task_timeout,
             retries=args.retries,
             fail_fast=args.fail_fast or None,
+            shuffle_seed=args.shuffle_seed,
             claimant=args.claimant,
             lease_ttl=args.lease_ttl,
             heartbeat_interval=args.heartbeat,
@@ -349,40 +350,33 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                     print(f"{c.suite:12s} {c.status}")
         return 0
 
-    if args.action == "gate":
-        records = bench.load_trajectory(trajectory)
-        suites = (tuple(s.strip() for s in args.suites.split(",")
-                        if s.strip())
-                  if args.suites else bench.DEFAULT_GATE_SUITES)
-        result = bench.gate(records, args.max_regress, suites=suites)
-        if args.json:
-            print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
-        else:
-            for c in result.comparisons:
-                if c.status == "ok" and c.geomean_speedup is not None:
-                    verdict = ("REGRESSED" if c.suite in result.regressions
-                               else "ok")
-                    print(f"{c.suite:12s} geomean "
-                          f"{c.geomean_speedup:.3f}x  {verdict}")
-                else:
-                    print(f"{c.suite:12s} no baseline ({c.status})")
-            limit = 1.0 - args.max_regress / 100.0
-            print(f"gate: max regression {args.max_regress:.0f}% "
-                  f"(geomean floor {limit:.2f}x) -> "
-                  + ("FAIL" if result.regressions else "pass"))
-        if result.regressions:
-            return 1
-        if args.require_baseline and result.missing:
-            print(f"error: no comparable baseline for gated suite(s): "
-                  f"{', '.join(result.missing)}", file=sys.stderr)
-            return 3
-        return 0
-
-    # action == "import": fold legacy BENCH_PR*.json into the trajectory
-    imported = bench.import_legacy(args.root, trajectory)
-    total = len(bench.load_trajectory(trajectory))
-    print(f"imported {len(imported)} legacy record(s) from {args.root}; "
-          f"{trajectory} now holds {total} record(s)")
+    # action == "gate"
+    records = bench.load_trajectory(trajectory)
+    suites = (tuple(s.strip() for s in args.suites.split(",")
+                    if s.strip())
+              if args.suites else bench.DEFAULT_GATE_SUITES)
+    result = bench.gate(records, args.max_regress, suites=suites)
+    if args.json:
+        print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
+    else:
+        for c in result.comparisons:
+            if c.status == "ok" and c.geomean_speedup is not None:
+                verdict = ("REGRESSED" if c.suite in result.regressions
+                           else "ok")
+                print(f"{c.suite:12s} geomean "
+                      f"{c.geomean_speedup:.3f}x  {verdict}")
+            else:
+                print(f"{c.suite:12s} no baseline ({c.status})")
+        limit = 1.0 - args.max_regress / 100.0
+        print(f"gate: max regression {args.max_regress:.0f}% "
+              f"(geomean floor {limit:.2f}x) -> "
+              + ("FAIL" if result.regressions else "pass"))
+    if result.regressions:
+        return 1
+    if args.require_baseline and result.missing:
+        print(f"error: no comparable baseline for gated suite(s): "
+              f"{', '.join(result.missing)}", file=sys.stderr)
+        return 3
     return 0
 
 
@@ -737,11 +731,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                     "reports per-suite speedup vs the previous record; "
                     "'gate' fails (exit 1) when any gated suite's "
                     "geomean speedup regresses more than --max-regress "
-                    "percent; 'import' folds legacy BENCH_PR*.json "
-                    "reports into the trajectory once. "
-                    "See README §Benchmarking.")
-    bch.add_argument("action",
-                     choices=("run", "compare", "gate", "import"))
+                    "percent. See README §Benchmarking.")
+    bch.add_argument("action", choices=("run", "compare", "gate"))
     bch.add_argument("spec", nargs="?",
                      help="sweep spec file for 'run' "
                           "(e.g. benchmarks/specs/substrate.json)")
@@ -774,8 +765,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     bch.add_argument("--require-baseline", action="store_true",
                      help="gate: exit 3 when a gated suite has no "
                           "comparable baseline instead of passing it")
-    bch.add_argument("--root", default=".", metavar="DIR",
-                     help="directory holding BENCH_PR*.json for 'import'")
     bch.add_argument("--json", action="store_true",
                      help="machine-readable output")
     bch.set_defaults(func=_cmd_bench)

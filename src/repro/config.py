@@ -8,9 +8,8 @@ parsing, its own validation (or none), and its own failure surface.
 This module replaces them with a single frozen :class:`RuntimeConfig`
 assembled from three layers, lowest precedence first:
 
-1. **environment** — the five legacy ``NOVA_*`` variables, kept working
-   for one release by a deprecation shim (each emits a
-   ``DeprecationWarning`` once per process when actually consulted);
+1. **environment** — the ``NOVA_*`` variables of :data:`ENV_VARS`,
+   which is also how a parent configures the workers it spawns;
 2. **config file** — a JSON or TOML file named by ``$NOVA_CONFIG``,
    whose keys are exactly the :class:`RuntimeConfig` field names
    (unknown keys are rejected eagerly, not ignored);
@@ -40,7 +39,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -73,10 +71,7 @@ CACHE_POLICIES: Tuple[str, ...] = ("on", "off", "memory")
 #: truth; :mod:`repro.cache.store` mirrors it for its constructor.
 DEFAULT_CACHE_MAX_BYTES = 256 * 1024 * 1024
 
-#: field name -> environment variable.  Most are legacy reads kept
-#: working through the deprecation shim; the ones listed in
-#: :data:`SANCTIONED_ENV` below are current, documented interfaces
-#: (CI and the benchmark harness set them) and do not warn.
+#: field name -> environment variable.
 ENV_VARS: Dict[str, str] = {
     "cache": "NOVA_CACHE",
     "cache_dir": "NOVA_CACHE_DIR",
@@ -87,10 +82,6 @@ ENV_VARS: Dict[str, str] = {
     "bench_task_timeout": "NOVA_BENCH_TASK_TIMEOUT",
     "sanitize": "NOVA_SANITIZE",
 }
-
-#: Fields whose environment variable is a sanctioned interface rather
-#: than a deprecated legacy spelling — consulted without warning.
-SANCTIONED_ENV = frozenset({"bench_set", "bench_task_timeout", "sanitize"})
 
 #: Environment variable naming the optional config file.
 CONFIG_FILE_VAR = "NOVA_CONFIG"
@@ -290,34 +281,16 @@ _BLANK_IS_UNSET = frozenset(
 
 
 # ----------------------------------------------------------------------
-# layer 1: the legacy environment (deprecation shim)
+# layer 1: the environment
 # ----------------------------------------------------------------------
-_warned_vars: set = set()
-
-
-def _deprecation_note(var: str) -> None:
-    """Warn once per process per consulted legacy variable."""
-    if var in _warned_vars:
-        return
-    _warned_vars.add(var)
-    warnings.warn(
-        f"the {var} environment variable is deprecated; set the "
-        f"corresponding key in a $NOVA_CONFIG file (JSON/TOML) or use "
-        f"repro.config.config_scope() — the variable keeps working for "
-        f"one more release",
-        DeprecationWarning, stacklevel=3)
-
-
 def _env_field(field: str) -> Optional[Any]:
-    """Parsed value of *field* from its legacy env var, or ``None``."""
+    """Parsed value of *field* from its env var, or ``None``."""
     var = ENV_VARS[field]
     raw = os.environ.get(var)
     if raw is None:
         return None
     if field in _BLANK_IS_UNSET and not raw.strip():
         return None
-    if field not in SANCTIONED_ENV:
-        _deprecation_note(var)
     return _ENV_PARSERS[field](raw, var)
 
 

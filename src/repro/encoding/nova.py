@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 import random
 import time
 from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
-import warnings
 
 from repro.constraints.input_constraints import (
     ConstraintSet,
@@ -660,18 +659,16 @@ def _encode_uncached_inner(fsm: FSM, opts: EncodeOptions,
     return result
 
 
-def _cached_encode(fsm: FSM, opts: EncodeOptions,
-                   legacy_rng: Optional[random.Random]) -> NovaResult:
+def _cached_encode(fsm: FSM, opts: EncodeOptions) -> NovaResult:
     """Cache lookup → decode → fill around :func:`_encode_uncached`.
 
     The cache is bypassed entirely (no lookup, no fill) when the run is
-    not a pure function of its fingerprint: a live ``random.Random``
-    was passed (its hidden state is invisible to the key), the options
-    are not :attr:`EncodeOptions.storable` (unseeded ``random``), or a
-    fault plan is armed (:mod:`repro.testing.faults` makes outcomes
-    depend on the plan).  A ``seed``-derived RNG is fine: it is built
-    fresh from the keyed seed right here, so a recompute replays the
-    exact same stream.
+    not a pure function of its fingerprint: the options are not
+    :attr:`EncodeOptions.storable` (unseeded ``random``), or a fault
+    plan is armed (:mod:`repro.testing.faults` makes outcomes depend on
+    the plan).  A ``seed``-derived RNG is fine: it is built fresh from
+    the keyed seed right here, so a recompute replays the exact same
+    stream.
 
     A cooperative ``timeout`` narrows only the *fill* side: a degraded
     result under a timeout depends on wall-clock (the budget fired at
@@ -683,11 +680,8 @@ def _cached_encode(fsm: FSM, opts: EncodeOptions,
     """
     from repro import cache as cache_mod
 
-    usable = (legacy_rng is None and opts.storable
-              and faults.ACTIVE is None)
-    rng = legacy_rng
-    if rng is None and opts.seed is not None:
-        rng = random.Random(opts.seed)
+    usable = opts.storable and faults.ACTIVE is None
+    rng = None if opts.seed is None else random.Random(opts.seed)
     cache = cache_mod.get_cache(opts.cache) if usable else None
     if cache is None:
         return _encode_uncached(fsm, opts, rng)
@@ -717,7 +711,6 @@ def encode_fsm(
     algorithm: Union[str, Any] = UNSET,
     nbits: Union[Optional[int], Any] = UNSET,
     effort: Union[str, Any] = UNSET,
-    rng: Union[Optional[random.Random], Any] = UNSET,
     evaluate: Union[bool, Any] = UNSET,
     mustang_option: Union[str, Any] = UNSET,
     timeout: Union[Optional[float], Any] = UNSET,
@@ -746,9 +739,6 @@ def encode_fsm(
     instead of silently reporting a wrong area; *seed* pins the RNG of
     stochastic algorithms; *cache* picks the result-cache policy
     (``auto``/``on``/``memory``/``off``, see :mod:`repro.cache`).
-
-    ``rng=`` (a live ``random.Random``) is deprecated: it is unhashable,
-    so such runs can never be cached.  Pass ``seed=`` instead.
     """
     explicit = {name: value for name, value in (
         ("algorithm", algorithm), ("nbits", nbits), ("effort", effort),
@@ -756,15 +746,4 @@ def encode_fsm(
         ("timeout", timeout), ("fallback", fallback), ("verify", verify),
         ("seed", seed), ("cache", cache),
     ) if value is not UNSET}
-    opts = merge_options(options, explicit)
-    legacy_rng: Optional[random.Random] = None
-    if rng is not UNSET and rng is not None:
-        warnings.warn(
-            "encode_fsm(rng=...) is deprecated: a random.Random instance "
-            "cannot participate in cache keys; pass seed=<int> instead",
-            DeprecationWarning, stacklevel=2)
-        if opts.seed is not None:
-            raise ValueError("pass either rng= (deprecated) or seed=, "
-                             "not both")
-        legacy_rng = rng
-    return _cached_encode(fsm, opts, legacy_rng)
+    return _cached_encode(fsm, merge_options(options, explicit))

@@ -18,8 +18,7 @@ Two construction paths coexist:
 
 Stochastic runs are requested with a plain ``seed: int`` — never a
 ``random.Random`` instance, which is unhashable and would poison cache
-keys.  The legacy ``rng=`` parameter of ``encode_fsm`` survives as a
-deprecated shim handled by the driver, outside this dataclass.
+keys.
 """
 
 from __future__ import annotations

@@ -19,8 +19,7 @@ Three ways to turn collection on:
 * the ``nova --stats <command> ...`` CLI flag, which prints a summary
   to stderr after the command;
 * the runtime config (:mod:`repro.config`): ``perf = true`` in a
-  ``$NOVA_CONFIG`` file — or the deprecated ``NOVA_PERF=1`` variable —
-  enables a process-global collector at import time (the CLI prints
+  ``$NOVA_CONFIG`` file — or ``NOVA_PERF=1`` — enables a process-global collector at import time (the CLI prints
   it too).
 
 Counters are plain attributes (see :class:`PerfStats`); wall-clock

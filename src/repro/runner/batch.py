@@ -28,23 +28,23 @@ generalizes this to N cooperating parents: each claimant process takes
 per-task leases (:mod:`repro.runner.lease`), appends to its own journal
 shard (single-writer invariant preserved per shard, enforced by the
 shard's ``flock``), heartbeats its in-flight claims, and steals tasks
-whose claimant stopped heartbeating.  Done-ness is always computed from
-the *merged* shard view, so claimants converge on exactly the manifest
-task set no matter which of them live or die — and the fencing epoch
-recorded in every shard row makes the merged result set deterministic
-even when a presumed-dead zombie finishes anyway.
+whose claimant stopped heartbeating.  A serial run is the same claim
+loop with one claimant and no lease table.  A joined claimant computes
+done-ness from the *merged* shard view, so claimants converge on
+exactly the manifest task set no matter which of them live or die — and
+the fencing epoch recorded in every shard row makes the merged result
+set deterministic even when a presumed-dead zombie finishes anyway.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from multiprocessing import get_context
-from multiprocessing.connection import wait as conn_wait
 import os
 from pathlib import Path
 import random
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence, Set, Union
 
 from repro.encoding.nova import fallback_chain
 from repro.errors import JournalError
@@ -64,10 +64,14 @@ from repro.runner.lease import (
     default_claimant,
 )
 from repro.runner.report import BatchReport, aggregate
-from repro.runner.worker import Worker, take_idle
-
-#: Attempt terminal states the parent can classify.
-KILLED_TIMEOUT = "timeout"
+from repro.runner.worker import (
+    REUSABLE_STATUSES,
+    Attempt,
+    Worker,
+    attempt_record,
+    take_idle,
+    watch,
+)
 
 
 class RunDirBusy(RuntimeError):
@@ -166,22 +170,18 @@ class BatchTask:
 
 
 class _Active:
-    """Book-keeping for one in-flight attempt on a worker process."""
+    """Book-keeping for one task while its attempts run."""
 
-    __slots__ = ("task", "attempt", "worker", "deadline",
-                 "started", "task_t0", "attempts", "lease", "epoch")
+    __slots__ = ("task", "attempt", "run", "task_t0", "attempts", "lease",
+                 "epoch")
 
-    def __init__(self, task: BatchTask, attempt: int,
-                 worker: Optional[Worker],
-                 deadline: Optional[float], task_t0: float,
-                 attempts: List[Dict],
+    def __init__(self, task: BatchTask, attempt: int, run: Optional[Attempt],
+                 task_t0: float, attempts: List[Dict],
                  lease: Optional[Lease] = None,
                  epoch: Optional[int] = None) -> None:
         self.task = task
         self.attempt = attempt  # 0-based attempt index
-        self.worker = worker  # None once the attempt has finished
-        self.deadline = deadline
-        self.started = time.monotonic()
+        self.run = run  # None once the attempt has ended
         self.task_t0 = task_t0
         self.attempts = attempts  # attempt records accumulated so far
         # joined-mode state: the held lease (dropped to None if stolen
@@ -190,10 +190,6 @@ class _Active:
         self.lease = lease
         self.epoch = (lease.epoch if epoch is None and lease is not None
                       else epoch)
-
-    def algorithm(self) -> str:
-        ladder = self.task.ladder()
-        return ladder[min(self.attempt, len(ladder) - 1)]
 
 
 class BatchRunner:
@@ -266,6 +262,7 @@ class BatchRunner:
                                    if heartbeat_interval is None
                                    else float(heartbeat_interval))
         self._leases: Optional[LeaseDir] = None
+        self._done: Set[str] = set()  # task ids with a journaled row
         self._ctx = get_context("spawn")
         self._idle: List[Worker] = []  # finished workers kept for reuse
 
@@ -287,19 +284,9 @@ class BatchRunner:
         """
         manifest = read_manifest(run_dir)
         cfg, tasks = cls._manifest_tasks(run_dir, manifest)
-        return cls(
-            tasks,
-            run_dir,
-            jobs=cfg.get("jobs", 1) if jobs is None else jobs,
-            task_timeout=(cfg.get("task_timeout") if task_timeout is None
-                          else task_timeout),
-            retries=cfg.get("retries", 2) if retries is None else retries,
-            fail_fast=(cfg.get("fail_fast", False) if fail_fast is None
-                       else fail_fast),
-            shuffle_seed=cfg.get("shuffle_seed"),
-            progress=progress,
-            force=force,
-        )
+        return cls(tasks, run_dir, progress=progress, force=force,
+                   **cls._knobs(cfg, jobs=jobs, task_timeout=task_timeout,
+                                retries=retries, fail_fast=fail_fast))
 
     @classmethod
     def join(cls, run_dir: Union[str, Path], *,
@@ -308,6 +295,7 @@ class BatchRunner:
              task_timeout: Optional[float] = None,
              retries: Optional[int] = None,
              fail_fast: Optional[bool] = None,
+             shuffle_seed: Optional[int] = None,
              claimant: Optional[str] = None,
              lease_ttl: Optional[float] = None,
              heartbeat_interval: Optional[float] = None,
@@ -317,9 +305,10 @@ class BatchRunner:
 
         If the manifest already exists, its task set is authoritative —
         every claimant must agree on the task universe, and the
-        manifest is what they agree on.  The first joiner may pass
-        *tasks* to create the run; it publishes the manifest before
-        returning so later joiners see a complete task list (the
+        manifest is what they agree on — and its recorded knobs,
+        ``shuffle_seed`` included, are the defaults.  The first joiner
+        may pass *tasks* to create the run; it publishes the manifest
+        before returning so later joiners see a complete task list (the
         manifest itself is written atomically).
         """
         try:
@@ -330,29 +319,29 @@ class BatchRunner:
             manifest = None
         cfg: Dict = {}
         if manifest is not None:
-            cfg, manifest_tasks = cls._manifest_tasks(run_dir, manifest)
-            tasks = manifest_tasks
+            cfg, tasks = cls._manifest_tasks(run_dir, manifest)
         assert tasks is not None
         runner = cls(
-            tasks,
-            run_dir,
-            jobs=cfg.get("jobs", 1) if jobs is None else jobs,
-            task_timeout=(cfg.get("task_timeout") if task_timeout is None
-                          else task_timeout),
-            retries=cfg.get("retries", 2) if retries is None else retries,
-            fail_fast=(cfg.get("fail_fast", False) if fail_fast is None
-                       else fail_fast),
-            progress=progress,
-            join=True,
+            tasks, run_dir, progress=progress, join=True,
             claimant=claimant,
             lease_ttl=(lease_ttl if lease_ttl is not None
                        else cfg.get("lease_ttl") or DEFAULT_TTL),
             heartbeat_interval=heartbeat_interval,
-        )
+            **cls._knobs(cfg, jobs=jobs, task_timeout=task_timeout,
+                         retries=retries, fail_fast=fail_fast,
+                         shuffle_seed=shuffle_seed))
         if manifest is None:
             Path(run_dir).mkdir(parents=True, exist_ok=True)
             write_manifest(run_dir, runner._manifest("running"))
         return runner
+
+    @staticmethod
+    def _knobs(cfg: Dict, **given) -> Dict:
+        """Scheduling knobs: each given one, else the manifest's."""
+        defaults = {"jobs": 1, "task_timeout": None, "retries": 2,
+                    "fail_fast": False, "shuffle_seed": None}
+        return {key: cfg.get(key, default) if given.get(key) is None
+                else given[key] for key, default in defaults.items()}
 
     @staticmethod
     def _manifest_tasks(run_dir, manifest: Dict):
@@ -436,13 +425,11 @@ class BatchRunner:
         status = ("degraded" if result.report is not None
                   and result.report.degraded else "ok")
         elapsed = round(time.monotonic() - task_t0, 6)
-        a = _Active(task, 0, None, None, task_t0, [{
-            "algorithm": task.algorithm, "status": status, "killed": None,
-            "exitcode": None, "error": None, "elapsed": elapsed,
-            "pid": None,
-        }], lease=lease)
+        a = _Active(task, 0, None, task_t0, [attempt_record({
+            "algorithm": task.algorithm, "status": status,
+            "elapsed": elapsed})], lease=lease)
         self._journal_final(a, journal, status, record=result.to_record(),
-                            perf={}, cache_hit=True)
+                            cache_hit=True)
         return True
 
     def _dispatch(self, task: BatchTask, attempt: int, task_t0: float,
@@ -452,126 +439,96 @@ class BatchRunner:
         spec = task.spec()
         ladder = task.ladder()
         spec["algorithm"] = ladder[min(attempt, len(ladder) - 1)]
-        worker = take_idle(self._idle) or Worker(self._ctx)
-        worker.send(spec)
-        deadline = (None if self.task_timeout is None
-                    else time.monotonic() + self.task_timeout)
-        return _Active(task, attempt, worker, deadline, task_t0,
-                       attempts, lease=lease, epoch=epoch)
+        run = Attempt(take_idle(self._idle) or Worker(self._ctx), spec,
+                      self.task_timeout)
+        return _Active(task, attempt, run, task_t0, attempts,
+                       lease=lease, epoch=epoch)
 
     def _close_workers(self, active: List[_Active]) -> None:
         """Kill every worker this runner started, in flight or idle (an
         idle worker holds nothing worth a graceful exit)."""
         for a in active:
-            if a.worker is not None:
-                a.worker.retire(kill=True)
-                a.worker = None
+            if a.run is not None:
+                a.run.worker.retire(kill=True)
+                a.run = None
         idle, self._idle = self._idle, []
         for worker in idle:
             worker.retire(kill=True)
 
     # ------------------------------------------------------------------
     def run(self) -> BatchReport:
-        """Execute every non-journaled task; return the aggregate report."""
-        if self.join_mode:
-            return self._run_joined()
-        t0 = time.monotonic()
-        self.run_dir.mkdir(parents=True, exist_ok=True)
-        self._check_not_busy()
-        prior = repair(self.run_dir / journal_mod.RESULTS_NAME)
-        if prior.truncated_tail is not None:
-            self.progress(f"journal: dropped truncated tail "
-                          f"({len(prior.truncated_tail)} bytes) from an "
-                          f"interrupted write; its task will re-run")
-        # done-ness counts records in *any* shard, so a serial resume of
-        # a previously joined run dir never redoes stolen work
-        done = set(merge_results(self.run_dir).task_ids)
-        write_manifest(self.run_dir, self._manifest("running"))
+        """Execute every task not yet journaled; return the aggregate
+        report.
 
-        pending = [t for t in self.tasks if t.task_id not in done]
-        if self.shuffle_seed is not None:
-            random.Random(self.shuffle_seed).shuffle(pending)
-        pending.reverse()  # pop() from the front of the original order
-
-        active: List[_Active] = []
-        failed_any = False
-        with Journal(self.run_dir / journal_mod.RESULTS_NAME) as journal:
-            try:
-                while pending or active:
-                    while pending and len(active) < self.jobs:
-                        task = pending.pop()
-                        if self._serve_cached(task, journal):
-                            continue
-                        active.append(self._dispatch(
-                            task, 0, time.monotonic(), []))
-                    self._poll(active, journal)
-                    failed_any |= self._retry_or_fail(active)
-            except _FailFast as stop:
-                self._close_workers(active)
-                write_manifest(self.run_dir, self._manifest("failed"))
-                self.progress(f"fail-fast: stopping after {stop}")
-                return self._report(t0, interrupted=True)
-            finally:
-                self._close_workers(active)
-        write_manifest(self.run_dir,
-                       self._manifest("failed" if failed_any else "complete"))
-        return self._report(t0)
-
-    def _run_joined(self) -> BatchReport:
-        """The work-stealing claim loop of one joined claimant.
-
-        Scheduling is a fixpoint iteration, not a queue: every round
-        re-derives *pending* as (manifest tasks) − (merged journal
-        records) − (own in-flight), claims what it can through the
-        lease table, and exits only when the merged view covers the
-        manifest with nothing left in flight locally.  That shape is
-        what makes the mode crash-symmetric — a claimant learns about
-        other claimants' completions, deaths, and steals purely by
-        re-reading durable state, never by messages.
+        One claim loop serves both modes; what differs is fixed before
+        it starts.  A serial run journals into ``results.jsonl``, owns
+        the manifest and takes no leases, so every claim is granted and
+        done-ness is what it journaled itself.  A joined claimant
+        journals into its own shard and claims through the lease table;
+        every round it re-derives done-ness from the merged shards,
+        which is how it learns about other claimants' completions,
+        deaths and steals — by re-reading durable state, never by
+        messages.  Either way tasks start in manifest order (shuffled
+        by ``shuffle_seed``), one per freed slot.
         """
         t0 = time.monotonic()
         self.run_dir.mkdir(parents=True, exist_ok=True)
-        leases = LeaseDir(self.run_dir, self.claimant, ttl=self.lease_ttl)
-        self._leases = leases
-        shard = self.run_dir / shard_name(self.claimant)
-        prior = repair(shard)
+        leases: Optional[LeaseDir] = None
+        if self.join_mode:
+            leases = LeaseDir(self.run_dir, self.claimant, ttl=self.lease_ttl)
+            path = self.run_dir / shard_name(self.claimant)
+        else:
+            self._check_not_busy()
+            path = self.run_dir / journal_mod.RESULTS_NAME
+        prior = repair(path)
         if prior.truncated_tail is not None:
             self.progress(f"journal: dropped truncated tail "
-                          f"({len(prior.truncated_tail)} bytes) from shard "
-                          f"{shard.name}; its task will re-run")
-        all_ids = [t.task_id for t in self.tasks]
-        by_id = {t.task_id: t for t in self.tasks}
+                          f"({len(prior.truncated_tail)} bytes) from "
+                          f"{path.name}; its task will re-run")
+        # done-ness counts records in *any* shard, so a serial resume of
+        # a previously joined run dir never redoes stolen work
+        self._done = set(merge_results(self.run_dir).task_ids)
+        if leases is None:
+            write_manifest(self.run_dir, self._manifest("running"))
+        order = list(self.tasks)
+        if self.shuffle_seed is not None:
+            random.Random(self.shuffle_seed).shuffle(order)
+        all_ids = {t.task_id for t in order}
+        self._leases = leases
         active: List[_Active] = []
-        failed_any = False
         last_beat = time.monotonic()
         try:
-            with Journal(shard) as journal:
+            with Journal(path) as journal:
                 while True:
-                    merged_ids = set(merge_results(self.run_dir).task_ids)
-                    if not active and merged_ids >= set(all_ids):
+                    if leases is not None:
+                        self._done = set(merge_results(self.run_dir).task_ids)
+                    if not active and self._done >= all_ids:
                         break
                     in_flight = {a.task.task_id for a in active}
-                    claimed_work = False
-                    for task_id in all_ids:
+                    claimed = False
+                    for task in order:
                         if len(active) >= self.jobs:
                             break
-                        if task_id in merged_ids or task_id in in_flight:
+                        if task.task_id in self._done \
+                                or task.task_id in in_flight:
                             continue
-                        lease = leases.acquire(task_id)
-                        if lease is None:
-                            continue
-                        claimed_work = True
-                        if lease.epoch:
-                            self.progress(f"{task_id}: stolen at epoch "
-                                          f"{lease.epoch} (previous claimant "
-                                          f"presumed dead)")
-                        task = by_id[task_id]
+                        lease = None
+                        if leases is not None:
+                            lease = leases.acquire(task.task_id)
+                            if lease is None:
+                                continue
+                            if lease.epoch:
+                                self.progress(
+                                    f"{task.task_id}: stolen at epoch "
+                                    f"{lease.epoch} (previous claimant "
+                                    f"presumed dead)")
+                        claimed = True
                         if self._serve_cached(task, journal, lease=lease):
                             continue
                         active.append(self._dispatch(
                             task, 0, time.monotonic(), [], lease=lease))
                     if not active:
-                        if not claimed_work:
+                        if not claimed:
                             # everything unfinished is held live by other
                             # claimants: wait for their journals to grow
                             # or their leases to expire
@@ -579,7 +536,8 @@ class BatchRunner:
                         continue
                     self._poll(active, journal)
                     now = time.monotonic()
-                    if now - last_beat >= self.heartbeat_interval:
+                    if leases is not None \
+                            and now - last_beat >= self.heartbeat_interval:
                         last_beat = now
                         for a in active:
                             if a.lease is None:
@@ -598,30 +556,34 @@ class BatchRunner:
                                 a.lease = None
                             else:
                                 a.lease = renewed
-                    failed_any |= self._retry_or_fail(active)
+                    self._retry_or_fail(active)
         except _FailFast as stop:
             self._close_workers(active)
-            for a in active:
-                if a.lease is not None:
-                    leases.release(a.lease)
-            # no manifest rewrite: other claimants keep running — fail
-            # fast is a local decision in a cooperative run
-            self.progress(f"fail-fast: this claimant stops after {stop}")
+            if leases is None:
+                write_manifest(self.run_dir, self._manifest("failed"))
+                self.progress(f"fail-fast: stopping after {stop}")
+            else:
+                for a in active:
+                    if a.lease is not None:
+                        leases.release(a.lease)
+                # no manifest rewrite: other claimants keep running —
+                # fail fast is a local decision in a cooperative run
+                self.progress(f"fail-fast: this claimant stops after "
+                              f"{stop}")
             return self._report(t0, interrupted=True)
         finally:
             self._close_workers(active)
             self._leases = None
-        merged = merge_results(self.run_dir)
-        failed_any = failed_any or any(
-            r.get("status") == "failed" for r in merged.records)
-        # whichever claimant observes completion publishes the final
-        # status; racing writers produce the same content modulo pid
-        write_manifest(self.run_dir,
-                       self._manifest("failed" if failed_any else "complete"))
+        # the final status covers every shard's rows; in a joined run
+        # whichever claimant observes completion publishes it (racing
+        # writers produce the same content modulo pid)
         report = self._report(t0)
-        self.progress(
-            f"claimant {self.claimant}: {leases.claims} claims, "
-            f"{leases.steals} steals, {leases.lost} leases lost")
+        write_manifest(self.run_dir, self._manifest(
+            "failed" if report.failed else "complete"))
+        if leases is not None:
+            self.progress(
+                f"claimant {self.claimant}: {leases.claims} claims, "
+                f"{leases.steals} steals, {leases.lost} leases lost")
         return report
 
     def _check_not_busy(self) -> None:
@@ -654,108 +616,51 @@ class BatchRunner:
 
     # ------------------------------------------------------------------
     def _poll(self, active: List[_Active], journal: Journal) -> None:
-        """Wait for one completion/EOF/deadline; finalize what finished.
+        """Wait for attempts to end and settle each one that did.
 
-        Attempts that finished are marked by ``a.worker = None``; the
-        worker itself went back to the idle list or was retired.
+        A settled task's ``run`` is None; its worker went back to the
+        idle list or was retired.
         """
-        if not active:
-            return
-        now = time.monotonic()
-        timeout = 0.5
-        for a in active:
-            if a.deadline is not None:
-                timeout = min(timeout, max(0.0, a.deadline - now))
-        ready = set(conn_wait([a.worker.conn for a in active],
-                              timeout=timeout))
-        now = time.monotonic()
-        for a in active:
-            worker = a.worker
-            if worker.conn in ready:
-                outcome = worker.recv()
-                if outcome is None:
-                    self._reap(a, journal, status="crashed")
-                    continue
-                self._finish(a, journal, outcome)
-            elif a.deadline is not None and now > a.deadline:
-                worker.retire(kill=True)
-                self._reap(a, journal, status="killed",
-                           killed=KILLED_TIMEOUT)
+        owner = {a.run: a for a in active}
+        for run, outcome in watch(list(owner), 0.5):
+            a = owner[run]
+            if run.worker.reusable:
+                self._idle.append(run.worker)
+            else:
+                run.worker.retire()
+            a.run = None
+            a.attempts.append(attempt_record(outcome))
+            status = outcome["status"]
+            if status in REUSABLE_STATUSES:
+                self._journal_final(a, journal, status,
+                                    record=outcome.get("record"),
+                                    perf=outcome.get("perf") or {},
+                                    cache_hit=outcome.get("cache_hit", False))
+            elif a.attempt >= self.retries:
+                self._journal_final(a, journal, "failed")
 
-    def _retry_or_fail(self, active: List[_Active]) -> bool:
+    def _retry_or_fail(self, active: List[_Active]) -> None:
         """Drop finished attempts from *active* (in place), dispatching
         the next ladder rung for each failed one with retries left.
 
-        Returns whether a task failed for good; under ``fail_fast`` that
-        raises :class:`_FailFast` instead.
+        Under ``fail_fast`` a task that failed for good raises
+        :class:`_FailFast`.
         """
-        finished = [a for a in active if a.worker is None]
-        active[:] = [a for a in active if a.worker is not None]
-        failed = False
+        finished = [a for a in active if a.run is None]
+        active[:] = [a for a in active if a.run is not None]
         for a in finished:
-            if a.attempts[-1]["status"] in ("ok", "degraded"):
+            if a.attempts[-1]["status"] in REUSABLE_STATUSES:
                 continue
             if a.attempt < self.retries:
                 active.append(self._dispatch(
                     a.task, a.attempt + 1, a.task_t0, a.attempts,
                     lease=a.lease, epoch=a.epoch))
-            else:
-                failed = True
-                if self.fail_fast:
-                    raise _FailFast(a.task.task_id)
-        return failed
-
-    def _attempt_record(self, a: _Active, status: str, *,
-                        killed: Optional[str] = None,
-                        exitcode: Optional[int] = None,
-                        error: Optional[Dict] = None,
-                        elapsed: Optional[float] = None) -> Dict:
-        return {
-            "algorithm": a.algorithm(),
-            "status": status,
-            "killed": killed,
-            "exitcode": exitcode,
-            "error": error,
-            "elapsed": round(time.monotonic() - a.started
-                             if elapsed is None else elapsed, 6),
-            "pid": a.worker.pid if a.worker is not None else None,
-        }
-
-    def _finish(self, a: _Active, journal: Journal, outcome: Dict) -> None:
-        """A worker reported a result (success, degraded, or error)."""
-        worker = a.worker
-        if worker.reusable:
-            self._idle.append(worker)
-        else:
-            worker.retire()
-        status = outcome.get("status", "error")
-        a.attempts.append(self._attempt_record(
-            a, status, error=outcome.get("error"),
-            elapsed=outcome.get("elapsed")))
-        a.worker = None
-        if status in ("ok", "degraded"):
-            self._journal_final(a, journal, status,
-                                record=outcome.get("record"),
-                                perf=outcome.get("perf") or {},
-                                cache_hit=outcome.get("cache_hit", False))
-        elif a.attempt >= self.retries:
-            self._journal_final(a, journal, "failed",
-                                error=outcome.get("error"))
-
-    def _reap(self, a: _Active, journal: Journal, status: str,
-              killed: Optional[str] = None) -> None:
-        """A worker died without reporting (kill, crash, or OOM); it is
-        already retired and reaped."""
-        a.attempts.append(self._attempt_record(
-            a, status, killed=killed, exitcode=a.worker.exitcode))
-        a.worker = None
-        if a.attempt >= self.retries:
-            self._journal_final(a, journal, "failed")
+            elif self.fail_fast:
+                raise _FailFast(a.task.task_id)
 
     def _journal_final(self, a: _Active, journal: Journal, status: str,
                        record: Optional[Dict] = None,
                        perf: Optional[Dict] = None,
-                       error: Optional[Dict] = None,
                        cache_hit: bool = False) -> None:
         """Write the task's single, durable journal line."""
         last = a.attempts[-1]
@@ -771,7 +676,7 @@ class BatchRunner:
             "record": record,
             "perf": perf or {},
             "cache_hit": cache_hit,
-            "error": error if error is not None else last.get("error"),
+            "error": last["error"],
             "elapsed": round(time.monotonic() - a.task_t0, 6),
         }
         if self.join_mode:
@@ -782,6 +687,7 @@ class BatchRunner:
             entry["epoch"] = a.epoch if a.epoch is not None else 0
             entry["stolen"] = bool(entry["epoch"])
         journal.append(entry)
+        self._done.add(a.task.task_id)
         if a.lease is not None and self._leases is not None:
             self._leases.release(a.lease)
             a.lease = None

@@ -26,15 +26,20 @@ process dies without sending (a hard hang killed by the parent, an
 and classifies the attempt itself; a killed or crashed worker is
 simply gone.  Workers never write the journal — the parent does.
 
-:class:`Worker` is the parent-side handle: start, send a spec, wait on
-``conn`` (a :func:`multiprocessing.connection.wait` target), receive,
-kill, retire.
+:class:`Worker` is the parent-side handle: start, send a spec, receive,
+kill, retire.  :class:`Attempt` and :func:`watch` are the one attempt
+watcher the batch runner and the encode service's pool share: an
+attempt ends with the worker's own report, ``crashed`` on EOF, or
+``killed``/``timeout`` after a SIGKILL at its hard deadline, and
+:func:`attempt_record` is the per-attempt row both the journal and the
+``/encode`` response carry.
 """
 
 from __future__ import annotations
 
+from multiprocessing.connection import wait as conn_wait
 import time
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import perf
 from repro.errors import ReproError, error_to_dict
@@ -45,6 +50,14 @@ REUSABLE_STATUSES = ("ok", "degraded")
 
 #: Seconds a retired worker gets to exit on its own before a SIGKILL.
 RETIRE_GRACE = 5.0
+
+#: ``killed`` marker of an attempt SIGKILLed at its hard deadline.
+KILLED_TIMEOUT = "timeout"
+
+#: The keys of one attempt record (journal rows and ``/encode``
+#: responses alike).
+ATTEMPT_KEYS = ("algorithm", "status", "killed", "exitcode", "error",
+                "elapsed", "pid")
 
 
 def reusable(spec: Dict, outcome: Dict) -> bool:
@@ -249,3 +262,71 @@ def take_idle(idle: List[Worker]) -> Optional[Worker]:
             return worker
         worker.retire()
     return None
+
+
+def attempt_record(outcome: Dict) -> Dict:
+    """The attempt row for an outcome: :data:`ATTEMPT_KEYS`, None where
+    the outcome has no value."""
+    return {key: outcome.get(key) for key in ATTEMPT_KEYS}
+
+
+class Attempt:
+    """One spec running on a worker under an optional hard deadline.
+
+    Constructing it sends the spec.  The owner waits on it through
+    :func:`watch` and afterwards keeps :attr:`worker` idle if it is
+    :attr:`Worker.reusable`, else retires it.
+    """
+
+    __slots__ = ("worker", "spec", "started", "deadline")
+
+    def __init__(self, worker: Worker, spec: Dict,
+                 timeout: Optional[float]) -> None:
+        self.worker = worker
+        self.spec = spec
+        self.started = time.monotonic()
+        self.deadline = None if timeout is None else self.started + timeout
+        worker.send(spec)
+
+    def _outcome(self, status: str, **fields) -> Dict:
+        """A parent-side outcome for a worker that sent no report."""
+        out = {"algorithm": self.spec.get("algorithm"), "status": status,
+               "exitcode": self.worker.exitcode,
+               "elapsed": round(time.monotonic() - self.started, 6),
+               "pid": self.worker.pid}
+        out.update(fields)
+        return out
+
+    def kill(self, reason: str) -> Dict:
+        """SIGKILL the worker; the attempt ends ``killed`` for *reason*."""
+        self.worker.retire(kill=True)
+        return self._outcome("killed", killed=reason)
+
+    def _settle(self, ready: bool, now: float) -> Optional[Dict]:
+        if ready:
+            report = self.worker.recv()
+            if report is None:
+                return self._outcome("crashed")
+            report["pid"] = self.worker.pid
+            return report
+        if self.deadline is not None and now > self.deadline:
+            return self.kill(KILLED_TIMEOUT)
+        return None
+
+
+def watch(attempts: Sequence[Attempt],
+          timeout: float) -> List[Tuple[Attempt, Dict]]:
+    """Wait up to *timeout* seconds, less if a hard deadline comes
+    first; return each attempt that ended with its outcome."""
+    now = time.monotonic()
+    for a in attempts:
+        if a.deadline is not None:
+            timeout = min(timeout, max(0.0, a.deadline - now))
+    ready = set(conn_wait([a.worker.conn for a in attempts], timeout))
+    now = time.monotonic()
+    ended = []
+    for a in attempts:
+        outcome = a._settle(a.worker.conn in ready, now)
+        if outcome is not None:
+            ended.append((a, outcome))
+    return ended

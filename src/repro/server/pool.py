@@ -7,9 +7,11 @@ transport, exception-proof reporting, orphan-safe sends, the retire
 rule) holds here too.  Workers outlive requests: one that finished an
 attempt ``ok``/``degraded`` without armed faults waits idle for the
 next cold request, so only the first attempts pay interpreter
-start-up.  What the pool adds is the *async* shape: the blocking
-send/poll/kill loop runs in a thread via ``asyncio.to_thread``, so the
-event loop keeps serving warm traffic while workers grind.
+start-up.  The deadline watch and outcome classification are that
+module's :class:`~repro.runner.worker.Attempt` too.  What the pool adds
+is the *async* shape: the blocking watch runs in a thread via
+``asyncio.to_thread``, so the event loop keeps serving warm traffic
+while workers grind, and a shutdown check between poll slices.
 
 The hard wall-clock kill sits **above** the cooperative
 :class:`~repro.perf.budget.Budget` the request's deadline maps onto
@@ -28,15 +30,13 @@ from __future__ import annotations
 import asyncio
 from multiprocessing import get_context
 import threading
-import time
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ServiceError
-from repro.runner.worker import Worker, take_idle
+from repro.runner.worker import Attempt, Worker, take_idle, watch
 from repro.server.stats import ServerStats
 
-#: ``outcome["killed"]`` markers the pool itself produces.
-KILLED_TIMEOUT = "timeout"
+#: ``outcome["killed"]`` marker of an attempt cut short by shutdown.
 KILLED_SHUTDOWN = "shutdown"
 
 #: How often the polling thread re-checks the shutdown flag (seconds).
@@ -77,10 +77,10 @@ class WorkerPool:
 
         The outcome is either the worker's own report (``status`` of
         ``ok``/``degraded``/``error``) or a parent-side classification:
-        ``{"status": "killed", "killed": "timeout"}`` for a hard kill,
-        ``{"status": "crashed", "exitcode": N}`` for a death without a
-        report.  Raises :class:`ServiceError` only when the pool is
-        already shutting down.
+        ``killed`` (``"timeout"`` or ``"shutdown"``) for a hard kill,
+        ``crashed`` for a death without a report.  Raises
+        :class:`ServiceError` only when the pool is already shutting
+        down.
         """
         outcome, started = await asyncio.to_thread(
             self._run_blocking, spec, hard_timeout)
@@ -122,37 +122,19 @@ class WorkerPool:
     def _run_blocking(self, spec: Dict,
                       hard_timeout: Optional[float]) -> Tuple[Dict, bool]:
         worker, started = self._checkout(spec.get("machine"))
-        deadline = (None if hard_timeout is None
-                    else time.monotonic() + hard_timeout)
         try:
-            worker.send(spec)
-            return self._watch(worker, deadline), started
+            return self._watch(Attempt(worker, spec, hard_timeout)), started
         finally:
             self._checkin(worker)
 
-    def _watch(self, worker: Worker, deadline: Optional[float]) -> Dict:
-        """Poll until report, EOF, hard deadline, or pool shutdown."""
-        while True:
-            if self._closing.is_set():
-                worker.retire(kill=True)
-                return {"status": "killed", "killed": KILLED_SHUTDOWN,
-                        "exitcode": worker.exitcode}
-            timeout = _POLL_INTERVAL
-            if deadline is not None:
-                timeout = min(timeout,
-                              max(0.0, deadline - time.monotonic()))
-            if worker.conn.poll(timeout):
-                outcome = worker.recv()
-                if outcome is not None:
-                    return outcome
-                if self._closing.is_set():  # killed by shutdown()
-                    return {"status": "killed", "killed": KILLED_SHUTDOWN,
-                            "exitcode": worker.exitcode}
-                return {"status": "crashed", "exitcode": worker.exitcode}
-            if deadline is not None and time.monotonic() > deadline:
-                worker.retire(kill=True)
-                return {"status": "killed", "killed": KILLED_TIMEOUT,
-                        "exitcode": worker.exitcode}
+    def _watch(self, attempt: Attempt) -> Dict:
+        """The shared attempt watcher, plus the pool's shutdown check."""
+        while not self._closing.is_set():
+            for _, outcome in watch([attempt], _POLL_INTERVAL):
+                if outcome["status"] == "crashed" and self._closing.is_set():
+                    break  # killed by shutdown()
+                return outcome
+        return attempt.kill(KILLED_SHUTDOWN)
 
     # ------------------------------------------------------------------
     def shutdown(self) -> int:

@@ -56,8 +56,9 @@ from repro.errors import (
     error_to_dict,
 )
 from repro.fsm.machine import FSM
+from repro.runner.worker import KILLED_TIMEOUT, attempt_record
 from repro.server.admission import AdmissionController
-from repro.server.pool import WorkerPool
+from repro.server.pool import KILLED_SHUTDOWN, WorkerPool
 from repro.server.singleflight import SingleFlight
 from repro.server.stats import ServerStats
 from repro.testing import faults
@@ -325,14 +326,8 @@ class EncodeService:
             spec = self._spec(fsm, kiss_text, opts, rung, cooperative)
             self.stats.worker_spawns += 1
             outcome = await self.pool.run(spec, hard)
-            status = outcome.get("status")
-            attempts.append({
-                "algorithm": rung,
-                "status": status,
-                "killed": outcome.get("killed"),
-                "exitcode": outcome.get("exitcode"),
-                "elapsed": outcome.get("elapsed"),
-            })
+            status = outcome["status"]
+            attempts.append(attempt_record(outcome))
             if status in ("ok", "degraded"):
                 self._warm_own_cache(fsm, opts, rung, cooperative,
                                      outcome.get("payload"))
@@ -345,13 +340,13 @@ class EncodeService:
                 raise rebuilt
             if status == "killed":
                 self.stats.worker_kills += 1
-                if outcome.get("killed") == "shutdown":
+                if outcome["killed"] == KILLED_SHUTDOWN:
                     raise ServiceError("server shutting down",
                                        stage="dispatch", machine=fsm.name)
             elif status == "crashed":
                 self.stats.worker_crashes += 1
         path = " -> ".join(a["algorithm"] for a in attempts)
-        if any(a.get("killed") == "timeout" for a in attempts):
+        if any(a["killed"] == KILLED_TIMEOUT for a in attempts):
             raise DeadlineExceeded(
                 f"every degradation rung was killed or crashed ({path})",
                 deadline=opts.timeout, stage="dispatch", machine=fsm.name)

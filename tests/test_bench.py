@@ -341,75 +341,6 @@ class TestTrajectory:
 
 
 # ----------------------------------------------------------------------
-# legacy import
-# ----------------------------------------------------------------------
-LEGACY_PR6 = {
-    "cover_kernels": {
-        "lion": {"ops": {"tautology": {
-            "before_s": {"mean": 0.2, "std": 0.01, "samples": 5},
-            "after_s": {"mean": 0.1, "std": 0.01, "samples": 5}}}}},
-    "tables_wall_clock_s": {
-        "table3": {"before": {"mean": 10.0, "std": 1.0, "samples": 3}}},
-}
-LEGACY_PR7 = {
-    "cold": {"mean_ms": 100.0, "p50_ms": 90.0, "n": 8},
-    "warm": {"mean_ms": 5.0, "p50_ms": 4.0, "n": 8},
-    "uncoalesced": {"clients": 8, "wall_ms": 900.0, "worker_spawns": 8},
-    "coalesced": {"mean_ms": 120.0, "p50_ms": 110.0, "clients": 8},
-    "overload": {"reject_latency_ms": {"mean_ms": 2.0, "p50_ms": 1.5,
-                                       "n": 4}},
-}
-LEGACY_PR8 = {
-    "scaling": [{"claimants": 1, "wall_s": 30.0},
-                {"claimants": 4, "wall_s": 9.0}],
-    "reclaim": {"wall_s": 12.0},
-    "machines": ["lion", "dk14"],
-}
-
-
-class TestLegacyImport:
-    @pytest.fixture
-    def legacy_root(self, tmp_path):
-        for name, blob in [("BENCH_PR6.json", LEGACY_PR6),
-                           ("BENCH_PR7.json", LEGACY_PR7),
-                           ("BENCH_PR8.json", LEGACY_PR8)]:
-            (tmp_path / name).write_text(json.dumps(blob),
-                                         encoding="utf-8")
-        return tmp_path
-
-    def test_imports_every_report_as_schema0(self, legacy_root):
-        records = bench.import_legacy(legacy_root)
-        suites = {r.suite for r in records}
-        assert suites == {"legacy-pr6-cover-kernels", "legacy-pr6-tables",
-                          "legacy-pr7-encode-service", "legacy-pr8-steal"}
-        assert all(r.schema == 0 for r in records)
-        assert all(r.suite.startswith("legacy-") for r in records)
-
-    def test_unit_reconstruction(self, legacy_root):
-        by_suite = {r.suite: r for r in bench.import_legacy(legacy_root)}
-        kernels = by_suite["legacy-pr6-cover-kernels"].units
-        assert kernels["lion/tautology/before"].mean == 0.2
-        assert kernels["lion/tautology/after"].mean == 0.1
-        service = by_suite["legacy-pr7-encode-service"].units
-        assert set(service) == {"cold", "warm", "uncoalesced",
-                                "coalesced", "overload"}
-        assert service["cold"].mean == pytest.approx(0.1)   # ms -> s
-        steal = by_suite["legacy-pr8-steal"].units
-        assert steal["claimants4"].mean == 9.0
-        assert steal["reclaim"].mean == 12.0
-
-    def test_import_is_idempotent(self, legacy_root, tmp_path):
-        traj = tmp_path / "traj.json"
-        bench.import_legacy(legacy_root, traj)
-        first = len(bench.load_trajectory(traj))
-        bench.import_legacy(legacy_root, traj)
-        assert len(bench.load_trajectory(traj)) == first == 4
-
-    def test_missing_files_are_fine(self, tmp_path):
-        assert bench.import_legacy(tmp_path) == []
-
-
-# ----------------------------------------------------------------------
 # run_sweep against a fake runner (no subprocesses, no timing)
 # ----------------------------------------------------------------------
 class FakeReport:
@@ -623,16 +554,6 @@ class TestBenchCli:
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload[0]["geomean_speedup"] == pytest.approx(2.0)
-
-    def test_import_cli(self, tmp_path, capsys, monkeypatch):
-        (tmp_path / "BENCH_PR8.json").write_text(json.dumps(LEGACY_PR8),
-                                                 encoding="utf-8")
-        traj = tmp_path / "t.json"
-        rc = cli_main(["bench", "import", "--root", str(tmp_path),
-                       "--trajectory", str(traj)])
-        assert rc == 0
-        assert "imported 1" in capsys.readouterr().out
-        assert bench.load_trajectory(traj)[0].suite == "legacy-pr8-steal"
 
     def test_committed_trajectory_passes_the_ci_gate(self):
         # the repo's own trajectory must satisfy the observatory job

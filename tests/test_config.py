@@ -1,11 +1,10 @@
-"""The unified runtime configuration: layering, validation, the shim.
+"""The unified runtime configuration: layering and validation.
 
 ``repro.config`` replaced six scattered ``os.environ`` reads with one
 precedence chain (env < ``$NOVA_CONFIG`` file < ``config_scope``).
 These tests pin the contract the rest of the tree now leans on: every
 layer validates eagerly and names its source, blank env vars count as
-unset, and the deprecated ``NOVA_*`` variables keep working — with a
-``DeprecationWarning`` — for one more release.
+unset, and every ``NOVA_*`` variable routes to its field.
 """
 
 from __future__ import annotations
@@ -34,8 +33,6 @@ def _clean_config_env(monkeypatch):
     for var in ENV_VARS.values():
         monkeypatch.delenv(var, raising=False)
     monkeypatch.delenv(config.CONFIG_FILE_VAR, raising=False)
-    # warn-once bookkeeping is process-global; isolate it per test
-    monkeypatch.setattr(config, "_warned_vars", set())
 
 
 def write_config(tmp_path, monkeypatch, body, name="nova.json"):
@@ -95,7 +92,7 @@ class TestRuntimeConfig:
 
 
 # ----------------------------------------------------------------------
-# layer 1: the deprecated environment shim
+# layer 1: the environment
 # ----------------------------------------------------------------------
 class TestEnvLayer:
     def test_each_legacy_var_still_routes(self, monkeypatch):
@@ -104,22 +101,11 @@ class TestEnvLayer:
         monkeypatch.setenv("NOVA_CACHE_MAX_BYTES", "1024")
         monkeypatch.setenv("NOVA_PERF", "1")
         monkeypatch.setenv("NOVA_BENCH_JOBS", "4")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            cfg = get_config()
+        cfg = get_config()
         assert cfg == RuntimeConfig(cache="memory",
                                     cache_dir="/tmp/somewhere",
                                     cache_max_bytes=1024, perf=True,
                                     bench_jobs=4)
-
-    def test_consulting_a_legacy_var_warns_once(self, monkeypatch):
-        monkeypatch.setenv("NOVA_CACHE", "off")
-        with pytest.warns(DeprecationWarning, match="NOVA_CACHE"):
-            assert config.cache_policy() == "off"
-        # second consultation of the same var stays quiet
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            assert config.cache_policy() == "off"
 
     def test_unset_vars_do_not_warn(self):
         with warnings.catch_warnings():
@@ -133,17 +119,13 @@ class TestEnvLayer:
     ])
     def test_cache_aliases(self, monkeypatch, alias, expect):
         monkeypatch.setenv("NOVA_CACHE", alias)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            assert config.cache_policy() == expect
+        assert config.cache_policy() == expect
         assert expect in CACHE_POLICIES
 
     def test_blank_env_var_counts_as_unset(self, monkeypatch):
         monkeypatch.setenv("NOVA_CACHE", "  ")
         monkeypatch.setenv("NOVA_BENCH_JOBS", "")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            assert get_config() == RuntimeConfig()
+        assert get_config() == RuntimeConfig()
 
     @pytest.mark.parametrize("var,raw", [
         ("NOVA_CACHE", "of"),
@@ -156,24 +138,20 @@ class TestEnvLayer:
     def test_bad_env_values_raise_and_name_the_variable(
             self, monkeypatch, var, raw):
         monkeypatch.setenv(var, raw)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with pytest.raises(ValueError, match=var):
-                get_config()
+        with pytest.raises(ValueError, match=var):
+            get_config()
 
     def test_narrow_accessor_ignores_other_fields_errors(
             self, monkeypatch):
         """An import-time reader of one knob must not trip over another
         knob's garbage — that's the point of the narrow accessors."""
         monkeypatch.setenv("NOVA_CACHE_MAX_BYTES", "garbage")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            assert config.perf_enabled() is False    # unaffected
-            assert config.bench_jobs() == 1          # unaffected
-            with pytest.raises(ValueError):
-                config.cache_max_bytes()             # its own error
-            with pytest.raises(ValueError):
-                get_config()                         # eager full check
+        assert config.perf_enabled() is False    # unaffected
+        assert config.bench_jobs() == 1          # unaffected
+        with pytest.raises(ValueError):
+            config.cache_max_bytes()             # its own error
+        with pytest.raises(ValueError):
+            get_config()                         # eager full check
 
 
 # ----------------------------------------------------------------------
@@ -183,9 +161,7 @@ class TestFileLayer:
     def test_json_file_overrides_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("NOVA_CACHE", "on")
         write_config(tmp_path, monkeypatch, {"cache": "memory"})
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            assert config.cache_policy() == "memory"
+        assert config.cache_policy() == "memory"
 
     def test_toml_file(self, tmp_path, monkeypatch):
         pytest.importorskip("tomllib")
@@ -198,9 +174,7 @@ class TestFileLayer:
             self, tmp_path, monkeypatch):
         monkeypatch.setenv("NOVA_BENCH_JOBS", "5")
         write_config(tmp_path, monkeypatch, {"cache": "off"})
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            cfg = get_config()
+        cfg = get_config()
         assert cfg.cache == "off" and cfg.bench_jobs == 5
 
     def test_unknown_keys_rejected(self, tmp_path, monkeypatch):
@@ -272,12 +246,10 @@ class TestScopeLayer:
     def test_scope_beats_file_beats_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("NOVA_CACHE", "on")          # lowest
         write_config(tmp_path, monkeypatch, {"cache": "memory"})
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            assert config.cache_policy() == "memory"    # file > env
-            with config_scope(cache="off"):
-                assert config.cache_policy() == "off"   # scope > file
-            assert config.cache_policy() == "memory"    # restored
+        assert config.cache_policy() == "memory"    # file > env
+        with config_scope(cache="off"):
+            assert config.cache_policy() == "off"   # scope > file
+        assert config.cache_policy() == "memory"    # restored
 
     def test_scopes_nest_innermost_wins_per_field(self):
         with config_scope(cache="off", bench_jobs=3):

@@ -1,7 +1,5 @@
 """Tests for the top-level driver encode_fsm."""
 
-import random
-
 import pytest
 
 from repro.encoding.nova import encode_fsm
@@ -22,15 +20,6 @@ class TestEncodeFsm:
         assert r.area == (2 * (2 + r.state_encoding.nbits)
                           + r.state_encoding.nbits + 1) * r.cubes
         assert len(set(r.state_encoding.codes)) == 4
-
-    def test_random_uses_rng(self):
-        # the deprecated rng= shim must keep working (with a warning)
-        # and agree with the equivalent seed= call
-        with pytest.deprecated_call():
-            a = encode_fsm(benchmark("lion"), "random",
-                           rng=random.Random(0))
-        b = encode_fsm(benchmark("lion"), "random", seed=0)
-        assert a.state_encoding.codes == b.state_encoding.codes
 
     def test_random_seed_deterministic(self):
         a = encode_fsm(benchmark("lion"), "random", seed=7)

@@ -132,17 +132,10 @@ class TestEncodeFsmShim:
             encode_fsm(fsm, "igreedy",
                        options=EncodeOptions(algorithm="iexact"))
 
-    def test_rng_deprecated_but_works(self):
-        fsm = benchmark("lion")
-        with pytest.deprecated_call():
-            r = encode_fsm(fsm, "random", rng=random.Random(3))
-        assert r.cubes > 0
-
-    def test_rng_and_seed_conflict(self):
-        fsm = benchmark("lion")
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError, match="not both"):
-                encode_fsm(fsm, "random", rng=random.Random(3), seed=3)
+    def test_rng_keyword_is_gone(self):
+        # stochastic runs take seed=; a live random.Random is rejected
+        with pytest.raises(TypeError, match="rng"):
+            encode_fsm(benchmark("lion"), "random", rng=random.Random(3))
 
     def test_unknown_algorithm_still_valueerror(self):
         with pytest.raises(ValueError, match="unknown algorithm"):

@@ -8,6 +8,7 @@ real child Python process and SIGKILLs it mid-run.
 import json
 import os
 from pathlib import Path
+import random
 import signal
 import subprocess
 import sys
@@ -71,7 +72,88 @@ class TestTaskModel:
             tasks_for_kiss_dir(tmp_path / "empty")
 
 
-class TestBatchRunner:
+class FailurePaths:
+    """Attempt failures end the same way in both scheduling modes."""
+
+    fail_fast_status = "failed"
+
+    def run_batch(self, tasks, run_dir, **kw):
+        return BatchRunner(tasks, run_dir, **kw).run()
+
+    def test_hard_timeout_kills_and_retries_down_ladder(self, tmp_path):
+        """A hang the cooperative Budget cannot interrupt: the planted
+        sleep never checks any deadline.  The parent must SIGKILL the
+        worker and retry at the next ladder rung."""
+        hang = Fault("encode", action="sleep", seconds=60,
+                     match={"algorithm": "iexact"}).to_dict()
+        task = BatchTask(machine="lion", algorithm="iexact", faults=[hang])
+        t0 = time.monotonic()
+        report = self.run_batch([task], tmp_path / "run", jobs=1,
+                                task_timeout=1.5, retries=2)
+        assert time.monotonic() - t0 < 30  # killed, not waited out
+        assert report.ok
+        entry = report.entry_for(task.task_id)
+        assert entry["status"] == "ok"
+        first, second = entry["attempts"][:2]
+        assert first["algorithm"] == "iexact"
+        assert first["status"] == "killed"
+        assert first["killed"] == "timeout"
+        assert second["algorithm"] == "ihybrid"
+        assert second["status"] == "ok"
+        assert report.kill_reasons["timeout"] == 1
+
+    def test_worker_crash_is_retried(self, tmp_path):
+        """os._exit models an OOM kill: no exception, no result, just a
+        dead process; the parent classifies it and retries."""
+        crash = Fault("encode", action="exit", exit_code=9,
+                      match={"algorithm": "ihybrid"}).to_dict()
+        task = BatchTask(machine="dk27", algorithm="ihybrid", faults=[crash])
+        report = self.run_batch([task], tmp_path / "run", jobs=1,
+                                retries=1)
+        entry = report.entry_for(task.task_id)
+        assert entry["status"] == "ok"
+        assert entry["attempts"][0]["status"] == "crashed"
+        assert entry["attempts"][0]["exitcode"] == 9
+        assert entry["attempts"][1]["algorithm"] == "igreedy"
+        assert report.crashes == 1
+
+    def test_taxonomy_error_is_transported_and_retried(self, tmp_path):
+        # fault state is per-attempt (each worker arms a fresh plan), so
+        # a transient fault is expressed by matching the first rung
+        boom = Fault("encode", exc=ValueError,
+                     match={"algorithm": "ihybrid"}).to_dict()
+        task = BatchTask(machine="lion", faults=[boom])
+        report = self.run_batch([task], tmp_path / "run", retries=1)
+        entry = report.entry_for(task.task_id)
+        assert entry["status"] == "ok"
+        assert entry["attempts"][0]["status"] == "error"
+        assert entry["attempts"][0]["error"]["type"] == "ValueError"
+
+    def test_retries_exhausted_is_an_explicit_failure(self, tmp_path):
+        crash = Fault("encode", action="exit").to_dict()  # every attempt
+        task = BatchTask(machine="lion", faults=[crash])
+        report = self.run_batch([task], tmp_path / "run", retries=1)
+        assert not report.ok
+        entry = report.entry_for(task.task_id)
+        assert entry["status"] == "failed"
+        assert len(entry["attempts"]) == 2
+        assert read_manifest(tmp_path / "run")["status"] == "failed"
+
+    def test_fail_fast_stops_the_batch(self, tmp_path):
+        crash = Fault("encode", action="exit").to_dict()
+        tasks = [BatchTask(machine="lion", faults=[crash])] + \
+            [BatchTask(machine=m) for m in SMALL[1:7]]
+        report = self.run_batch(tasks, tmp_path / "run", jobs=1, retries=0,
+                                fail_fast=True)
+        assert report.interrupted and not report.ok
+        assert report.completed < len(tasks)
+        # a serial run owns its manifest; a joined claimant's fail-fast
+        # is local, so the manifest still says the run is going on
+        assert read_manifest(tmp_path / "run")["status"] == \
+            self.fail_fast_status
+
+
+class TestBatchRunner(FailurePaths):
     def test_small_batch_parallel_ok(self, tmp_path):
         tasks = [BatchTask(machine=m) for m in ("lion", "train4", "dk27")]
         report = BatchRunner(tasks, tmp_path / "run", jobs=2,
@@ -97,75 +179,6 @@ class TestBatchRunner:
         assert rec["state_encoding"]["codes"] == \
             list(direct.state_encoding.codes)
         assert (rec["area"], rec["cubes"]) == (direct.area, direct.cubes)
-
-    def test_hard_timeout_kills_and_retries_down_ladder(self, tmp_path):
-        """A hang the cooperative Budget cannot interrupt: the planted
-        sleep never checks any deadline.  The parent must SIGKILL the
-        worker and retry at the next ladder rung."""
-        hang = Fault("encode", action="sleep", seconds=60,
-                     match={"algorithm": "iexact"}).to_dict()
-        task = BatchTask(machine="lion", algorithm="iexact", faults=[hang])
-        t0 = time.monotonic()
-        report = BatchRunner([task], tmp_path / "run", jobs=1,
-                             task_timeout=1.5, retries=2).run()
-        assert time.monotonic() - t0 < 30  # killed, not waited out
-        assert report.ok
-        entry = report.entry_for(task.task_id)
-        assert entry["status"] == "ok"
-        first, second = entry["attempts"][:2]
-        assert first["algorithm"] == "iexact"
-        assert first["status"] == "killed"
-        assert first["killed"] == "timeout"
-        assert second["algorithm"] == "ihybrid"
-        assert second["status"] == "ok"
-        assert report.kill_reasons["timeout"] == 1
-
-    def test_worker_crash_is_retried(self, tmp_path):
-        """os._exit models an OOM kill: no exception, no result, just a
-        dead process; the parent classifies it and retries."""
-        crash = Fault("encode", action="exit", exit_code=9,
-                      match={"algorithm": "ihybrid"}).to_dict()
-        task = BatchTask(machine="dk27", algorithm="ihybrid", faults=[crash])
-        report = BatchRunner([task], tmp_path / "run", jobs=1,
-                             retries=1).run()
-        entry = report.entry_for(task.task_id)
-        assert entry["status"] == "ok"
-        assert entry["attempts"][0]["status"] == "crashed"
-        assert entry["attempts"][0]["exitcode"] == 9
-        assert entry["attempts"][1]["algorithm"] == "igreedy"
-        assert report.crashes == 1
-
-    def test_taxonomy_error_is_transported_and_retried(self, tmp_path):
-        # fault state is per-attempt (each worker arms a fresh plan), so
-        # a transient fault is expressed by matching the first rung
-        boom = Fault("encode", exc=ValueError,
-                     match={"algorithm": "ihybrid"}).to_dict()
-        task = BatchTask(machine="lion", faults=[boom])
-        report = BatchRunner([task], tmp_path / "run", retries=1).run()
-        entry = report.entry_for(task.task_id)
-        assert entry["status"] == "ok"
-        assert entry["attempts"][0]["status"] == "error"
-        assert entry["attempts"][0]["error"]["type"] == "ValueError"
-
-    def test_retries_exhausted_is_an_explicit_failure(self, tmp_path):
-        crash = Fault("encode", action="exit").to_dict()  # every attempt
-        task = BatchTask(machine="lion", faults=[crash])
-        report = BatchRunner([task], tmp_path / "run", retries=1).run()
-        assert not report.ok
-        entry = report.entry_for(task.task_id)
-        assert entry["status"] == "failed"
-        assert len(entry["attempts"]) == 2
-        assert read_manifest(tmp_path / "run")["status"] == "failed"
-
-    def test_fail_fast_stops_the_batch(self, tmp_path):
-        crash = Fault("encode", action="exit").to_dict()
-        tasks = [BatchTask(machine="lion", faults=[crash])] + \
-            [BatchTask(machine=m) for m in SMALL[1:7]]
-        report = BatchRunner(tasks, tmp_path / "run", jobs=1, retries=0,
-                             fail_fast=True).run()
-        assert report.interrupted and not report.ok
-        assert report.completed < len(tasks)
-        assert read_manifest(tmp_path / "run")["status"] == "failed"
 
     def test_resume_skips_journaled_tasks(self, tmp_path):
         tasks = [BatchTask(machine=m) for m in ("lion", "dk27")]
@@ -226,6 +239,37 @@ class TestBatchRunner:
         b = sorted((r["machine"], r["state_encoding"])
                    for r in shuffled.records())
         assert a == b
+
+
+class TestJoinedBatchRunner(FailurePaths):
+    """The failure paths again, through a single-claimant joined run."""
+
+    fail_fast_status = "running"
+
+    def run_batch(self, tasks, run_dir, **kw):
+        return BatchRunner.join(run_dir, tasks=tasks, **kw).run()
+
+    def test_shuffle_seed_is_honoured_and_recorded(self, tmp_path):
+        names = ("lion", "train4", "dk27")
+        plain = self.run_batch([BatchTask(machine=m) for m in names],
+                               tmp_path / "a", jobs=2)
+        finished = []
+        shuffled = BatchRunner.join(
+            tmp_path / "b", tasks=[BatchTask(machine=m) for m in names],
+            jobs=1, shuffle_seed=7, progress=finished.append).run()
+        assert read_manifest(tmp_path / "b")["config"]["shuffle_seed"] == 7
+        # a later joiner adopts the creator's seed from the manifest
+        assert BatchRunner.join(tmp_path / "b").shuffle_seed == 7
+        # one job: tasks finish in the order they start
+        order = [line.split(":")[1] for line in finished
+                 if line.startswith("ihybrid:")]
+        expected = list(names)
+        random.Random(7).shuffle(expected)
+        assert order == expected
+        pick = lambda report: sorted(
+            (r["machine"], json.dumps(r["state_encoding"]), r["area"])
+            for r in report.records())
+        assert pick(shuffled) == pick(plain)
 
 
 DRIVER = textwrap.dedent("""

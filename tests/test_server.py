@@ -231,7 +231,13 @@ def test_hung_worker_is_killed_and_ladder_rescues():
     attempts = response.body["attempts"]
     assert attempts[0]["algorithm"] == "iexact"
     assert attempts[0]["status"] == "killed"
+    assert attempts[0]["killed"] == "timeout"
     assert attempts[1]["status"] in ("ok", "degraded")
+    # a served attempt carries the same keys as a journaled one
+    journal_keys = {"algorithm", "status", "killed", "exitcode", "error",
+                    "elapsed", "pid"}
+    assert [set(a) for a in attempts] == [journal_keys] * len(attempts)
+    assert isinstance(attempts[0]["pid"], int)
     assert svc.stats.worker_kills == 1
     assert svc.stats.ladder_retries >= 1
 
