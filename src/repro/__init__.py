@@ -16,22 +16,32 @@ Public API highlights:
 * :mod:`repro.api` — the stable facade these names are mirrored from.
 """
 
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
 from repro._version import __version__
-from repro.cache import cache_clear, cache_info, cache_prune
-from repro.config import RuntimeConfig, config_scope, get_config
-from repro.encoding.nova import ALGORITHMS, NovaResult, RunReport, encode_fsm
-from repro.encoding.options import EncodeOptions
-from repro.errors import (
-    BudgetExhausted,
-    ConstraintError,
-    EncodingInfeasible,
-    ParseError,
-    ReproError,
-    VerificationError,
-)
-from repro.fsm.benchmarks import benchmark, benchmark_names
-from repro.fsm.kiss import parse_kiss, to_kiss
-from repro.fsm.machine import FSM, Transition
+
+if TYPE_CHECKING:
+    from repro.cache import cache_clear, cache_info, cache_prune
+    from repro.config import RuntimeConfig, config_scope, get_config
+    from repro.encoding.nova import (
+        ALGORITHMS,
+        NovaResult,
+        RunReport,
+        encode_fsm,
+    )
+    from repro.encoding.options import EncodeOptions
+    from repro.errors import (
+        BudgetExhausted,
+        ConstraintError,
+        EncodingInfeasible,
+        ParseError,
+        ReproError,
+        VerificationError,
+    )
+    from repro.fsm.benchmarks import benchmark, benchmark_names
+    from repro.fsm.kiss import parse_kiss, to_kiss
+    from repro.fsm.machine import FSM, Transition
 
 __all__ = [
     "ALGORITHMS",
@@ -59,3 +69,20 @@ __all__ = [
     "Transition",
     "__version__",
 ]
+
+# re-exports resolve on first use (repro._lazy): a spawned worker
+# imports this package on its way to repro.runner.worker and must not
+# pay for the cache, the encode pipeline or the benchmark machines here
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.cache": ("cache_clear", "cache_info", "cache_prune"),
+    "repro.config": ("RuntimeConfig", "config_scope", "get_config"),
+    "repro.encoding.nova": (
+        "ALGORITHMS", "NovaResult", "RunReport", "encode_fsm"),
+    "repro.encoding.options": ("EncodeOptions",),
+    "repro.errors": (
+        "BudgetExhausted", "ConstraintError", "EncodingInfeasible",
+        "ParseError", "ReproError", "VerificationError"),
+    "repro.fsm.benchmarks": ("benchmark", "benchmark_names"),
+    "repro.fsm.kiss": ("parse_kiss", "to_kiss"),
+    "repro.fsm.machine": ("FSM", "Transition"),
+})

@@ -16,9 +16,10 @@ may move without notice; these names will not.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
 from repro._version import __version__
-from repro.bench import BenchRecord, SweepSpec, load_spec, run_sweep
-from repro.cache import cache_clear, cache_info, cache_prune
 from repro.config import RuntimeConfig, config_scope, get_config
 from repro.encoding.nova import (
     ALGORITHMS,
@@ -43,6 +44,10 @@ from repro.errors import (
 from repro.fsm.benchmarks import benchmark, benchmark_names
 from repro.fsm.kiss import parse_kiss, to_kiss
 from repro.fsm.machine import FSM, Transition
+
+if TYPE_CHECKING:
+    from repro.bench import BenchRecord, SweepSpec, load_spec, run_sweep
+    from repro.cache import cache_clear, cache_info, cache_prune
 
 __all__ = [
     # pipeline
@@ -84,3 +89,10 @@ __all__ = [
     # meta
     "__version__",
 ]
+
+# the benchmark observatory and the cache controls load on first use:
+# an encode with the cache off runs neither
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.bench": ("BenchRecord", "SweepSpec", "load_spec", "run_sweep"),
+    "repro.cache": ("cache_clear", "cache_info", "cache_prune"),
+})

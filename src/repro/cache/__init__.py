@@ -105,9 +105,7 @@ def resolve_policy(policy: str = "auto") -> str:
     :func:`check_environment` so the error surfaces before the first
     request.
     """
-    if policy != "auto":
-        return policy
-    return config_mod.cache_policy()
+    return config_mod.cache_policy(policy)
 
 
 def check_environment() -> str:

@@ -21,10 +21,11 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.encoding.nova import ALGORITHMS, encode_fsm
-from repro.encoding.options import CACHE_POLICIES
+# only what building the parser needs: each subcommand imports its own
+# machinery, and a spawned batch/serve worker re-runs this module as
+# __mp_main__, so every import here is paid once per worker as well
+from repro.encoding.options import ALGORITHMS, CACHE_POLICIES
 from repro.errors import ReproError, exit_code_for
-from repro.eval import tables
 from repro.fsm.benchmarks import benchmark, benchmark_names
 from repro.fsm.kiss import parse_kiss
 
@@ -40,6 +41,8 @@ def _load_fsm(args: argparse.Namespace):
 
 
 def _cmd_encode(args: argparse.Namespace) -> int:
+    from repro.encoding.nova import encode_fsm
+
     fsm = _load_fsm(args)
     if fsm is None:
         print("error: give a KISS2 file or --benchmark NAME", file=sys.stderr)
@@ -76,6 +79,8 @@ def _cmd_encode(args: argparse.Namespace) -> int:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
+    from repro.eval import tables
+
     names = benchmark_names(args.subset)
     n = args.number
     if n == 1:
@@ -588,6 +593,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     """Encode a machine and independently verify the result."""
+    from repro.encoding.nova import encode_fsm
     from repro.encoding.verify import verify_encoded_machine
 
     if args.benchmark:

@@ -461,8 +461,14 @@ def get_config() -> RuntimeConfig:
 # Narrow accessors: consult only their own field, so import-time
 # readers (repro.perf) fail only on errors in the value they actually
 # need.
-def cache_policy() -> str:
-    """Resolved cache policy: ``on`` / ``off`` / ``memory``."""
+def cache_policy(requested: str = "auto") -> str:
+    """Resolved cache policy: ``on`` / ``off`` / ``memory``.
+
+    An explicit *requested* policy stands; ``auto`` follows the
+    configured ``cache`` field.
+    """
+    if requested != "auto":
+        return requested
     value = _resolve("cache")
     return _validate_cache(value, ENV_VARS["cache"])
 

@@ -32,6 +32,7 @@ import random
 import time
 from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
+from repro import config as config_mod
 from repro.constraints.input_constraints import (
     ConstraintSet,
     ExtractionResult,
@@ -678,11 +679,14 @@ def _cached_encode(fsm: FSM, opts: EncodeOptions) -> NovaResult:
     timeout value itself is part of the fingerprint, so differently
     bounded runs never share an entry.
     """
-    from repro import cache as cache_mod
-
     usable = opts.storable and faults.ACTIVE is None
     rng = None if opts.seed is None else random.Random(opts.seed)
-    cache = cache_mod.get_cache(opts.cache) if usable else None
+    if not usable or config_mod.cache_policy(opts.cache) == "off":
+        return _encode_uncached(fsm, opts, rng)
+    # the fingerprint, codec and stores load only with a tier in use
+    from repro import cache as cache_mod
+
+    cache = cache_mod.get_cache(opts.cache)
     if cache is None:
         return _encode_uncached(fsm, opts, rng)
     key = cache_mod.fingerprint(fsm, opts)

@@ -37,33 +37,38 @@ Layout
     counters, steal/fence provenance).
 """
 
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
 from repro.errors import JournalError
-from repro.runner.batch import (
-    BatchRunner,
-    BatchTask,
-    RunDirBusy,
-    tasks_for_benchmarks,
-    tasks_for_kiss_dir,
-)
-from repro.runner.journal import (
-    Journal,
-    JournalReadResult,
-    MergeResult,
-    merge_results,
-    read_manifest,
-    read_results,
-    repair,
-    shard_name,
-    shard_paths,
-    write_manifest,
-)
-from repro.runner.lease import (
-    Lease,
-    LeaseDir,
-    default_claimant,
-    lease_stats,
-)
-from repro.runner.report import BatchReport, aggregate
+
+if TYPE_CHECKING:
+    from repro.runner.batch import (
+        BatchRunner,
+        BatchTask,
+        RunDirBusy,
+        tasks_for_benchmarks,
+        tasks_for_kiss_dir,
+    )
+    from repro.runner.journal import (
+        Journal,
+        JournalReadResult,
+        MergeResult,
+        merge_results,
+        read_manifest,
+        read_results,
+        repair,
+        shard_name,
+        shard_paths,
+        write_manifest,
+    )
+    from repro.runner.lease import (
+        Lease,
+        LeaseDir,
+        default_claimant,
+        lease_stats,
+    )
+    from repro.runner.report import BatchReport, aggregate
 
 __all__ = [
     "BatchRunner",
@@ -89,3 +94,18 @@ __all__ = [
     "tasks_for_kiss_dir",
     "write_manifest",
 ]
+
+# a spawned worker imports this package for repro.runner.worker alone:
+# the engine, journal, lease and report modules load on first use
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.runner.batch": (
+        "BatchRunner", "BatchTask", "RunDirBusy", "tasks_for_benchmarks",
+        "tasks_for_kiss_dir"),
+    "repro.runner.journal": (
+        "Journal", "JournalReadResult", "MergeResult", "merge_results",
+        "read_manifest", "read_results", "repair", "shard_name",
+        "shard_paths", "write_manifest"),
+    "repro.runner.lease": (
+        "Lease", "LeaseDir", "default_claimant", "lease_stats"),
+    "repro.runner.report": ("BatchReport", "aggregate"),
+})

@@ -389,8 +389,8 @@ class BatchRunner:
         encode result without dispatching it to a worker.
 
         A hit costs one disk read + JSON decode (~ms) against a pipe
-        round trip to a worker — and ~0.2 s of interpreter start-up
-        when no idle worker is left to reuse.  Anything unexpected —
+        round trip to a worker — and ~0.15 s of interpreter start-up
+        and pipeline compile when no idle worker is left to reuse.  Anything unexpected —
         uncacheable options, a miss, a decode failure — falls through
         to the normal worker path, so this can only ever skip work,
         never change a result.

@@ -15,8 +15,12 @@ across the process boundary), and runs the pipeline under a perf
 collector.  Everything crossing the pipe is primitives — no FSM, no
 covers — so transport can never hit a pickling edge case.
 
-Workers are reused, which saves the ~0.2 s interpreter start-up and
-``repro`` import on every attempt after a worker's first.  A worker
+Workers are reused, which saves interpreter start-up on every attempt
+after a worker's first: ~0.05 s for the interpreter and ``site``,
+~0.03 s to import this module (the packages on the way re-export
+lazily, :mod:`repro._lazy`), and ~0.05 s to compile the encode
+pipeline on the first encode — from source on every start when
+``PYTHONDONTWRITEBYTECODE`` is set.  A worker
 *retires* — exits, and is never handed another spec — after any
 attempt whose spec armed faults or whose outcome was not
 ``ok``/``degraded`` (:func:`reusable`); both ends apply that rule, so

@@ -7,7 +7,8 @@ transport, exception-proof reporting, orphan-safe sends, the retire
 rule) holds here too.  Workers outlive requests: one that finished an
 attempt ``ok``/``degraded`` without armed faults waits idle for the
 next cold request, so only the first attempts pay interpreter
-start-up.  The deadline watch and outcome classification are that
+start-up and the compile of the modules an encode runs (DESIGN §6.6).
+The deadline watch and outcome classification are that
 module's :class:`~repro.runner.worker.Attempt` too.  What the pool adds
 is the *async* shape: the blocking watch runs in a thread via
 ``asyncio.to_thread``, so the event loop keeps serving warm traffic
