@@ -4,17 +4,30 @@ Two validity oracles are supported for EXPAND:
 
 * an explicit off-set (as in ``minimize(on, dc, off)`` used by NOVA's
   symbolic minimization loop) — a raise is legal when the grown cube
-  meets no off-cube.  One scan of the off-set per cube yields the
-  off-cubes one variable away; their fields in that variable form the
-  set of forbidden raises, updated incrementally as the cube grows
-  (see :func:`_expand_against_off`);
+  meets no off-cube;
 * no off-set — a raise is legal when the grown cube is still an
-  implicant of ``on + dc``, decided by a tautology call.  This avoids
-  computing a global complement, which can blow up on wide covers.
+  implicant of ``on + dc``.  This avoids computing a global complement,
+  which can blow up on wide covers.
 
-REDUCE shrinks each cube to the smallest cube containing the part of it
-the rest of the cover does not cover, computed directly by
-:func:`repro.logic.urp.sccc` rather than from a complement.
+Each phase has two exact implementations that return the same cubes in
+the same order:
+
+* on formats of at most :data:`MINTERM_SPACE_MAX` minterms, explicit
+  minterm sets (:mod:`repro.logic.minterms`).  Both oracles become one
+  forbidden set (the off-set, or the complement of ``on + dc``) and a
+  raise is legal when the minterms it adds miss it; REDUCE keeps the
+  supercube of the minterms of a cube outside the rest of the cover,
+  and IRREDUNDANT drops a cube whose minterms the rest covers, both in
+  one sweep with prefix and suffix unions;
+* on wider formats, cubes and the unate-recursive paradigm.  Against an
+  off-set, one scan per cube yields the off-cubes one variable away;
+  their fields in that variable form the set of forbidden raises,
+  updated incrementally as the cube grows
+  (see :func:`_expand_against_off`); against ``on + dc`` each raise is
+  a tautology call.  REDUCE computes the smallest cube containing the
+  part of a cube the rest does not cover directly by
+  :func:`repro.logic.urp.sccc` rather than from a complement, and
+  IRREDUNDANT asks a tautology call per cube.
 
 The iteration accepts a :class:`repro.perf.Budget`: when the budget
 expires mid-loop the best cover found so far is returned (the result is
@@ -27,33 +40,55 @@ and near-misses the plain loop used to discard.
 from __future__ import annotations
 
 import time
-from typing import Optional
+from typing import List, Optional
 
 from repro import perf
 from repro.errors import BudgetExhausted
-from repro.logic import backend, urp
+from repro.logic import backend, minterms, urp
 from repro.logic.cover import Cover
+from repro.logic.cube import Format
+from repro.logic.minterms import Space
 from repro.perf.budget import Budget, ambient, tick
+
+#: Formats with at most this many minterms run REDUCE, EXPAND and
+#: IRREDUNDANT on explicit minterm sets (:mod:`repro.logic.minterms`);
+#: wider ones use the unate-recursive paradigm.  Both give the same
+#: covers; the bound is where the minterm path stops being faster per
+#: espresso call (DESIGN §6 item 17).
+MINTERM_SPACE_MAX = 1 << 13
+
+
+def _space(fmt: Format) -> Optional[Space]:
+    """The minterm space of *fmt* when it is small enough, else None."""
+    if minterms.size(fmt) > MINTERM_SPACE_MAX:
+        return None
+    return minterms.space(fmt)
 
 
 def _is_implicant(cube: int, on_dc: Cover) -> bool:
     return on_dc.contains_cube(cube)
 
 
-def _expand_cube(cube: int, on_dc: Cover, off: Optional[Cover]) -> int:
+def _expand_cube(cube: int, on_dc: Cover, off: Optional[Cover],
+                 forbidden: Optional[int] = None) -> int:
     """Grow *cube* to a prime implicant by raising one position at a time.
 
     Raising is monotone: once a raise fails it fails for every superset,
     so a single pass over the candidate positions, lowest bit first,
     yields a prime.  With no off-set each raise is an implicant test
     against ``on + dc``; with one, :func:`_expand_against_off` decides
-    every raise from state kept across the raises.
+    every raise from state kept across the raises.  On a small format
+    *forbidden* is the minterm set no raise may reach (the off-set, or
+    the complement of ``on + dc``) and :func:`_expand_in_space` decides.
     """
     fmt = on_dc.fmt if off is None else off.fmt
     stats = perf.STATS
     if stats is not None:
         stats.expand_cubes += 1
         stats.expand_attempts += (fmt.universe & ~cube).bit_count()
+    if forbidden is not None:
+        return _expand_in_space(minterms.space(fmt), fmt, cube, forbidden,
+                                off is None, stats)
     if off is not None:
         return _expand_against_off(fmt, cube, off.cubes, stats)
     for bit in range(fmt.width):
@@ -131,9 +166,63 @@ def _expand_against_off(fmt, cube: int, off_cubes, stats) -> int:
     return cube
 
 
+def _expand_in_space(sp: Space, fmt: Format, cube: int, forbidden: int,
+                     tick_each: bool, stats) -> int:
+    """EXPAND on minterm sets: raise a position when the minterms it
+    adds miss *forbidden*.
+
+    The variables are visited in order and their free positions lowest
+    first, the order of both cube oracles.  Raising value ``j`` of
+    variable ``v`` adds the minterms with digit ``v = j`` inside the
+    field sets of the other variables: ``prefix`` (the variables before
+    ``v``, already final) and ``suffix[v]`` (those after, untouched so
+    far).  Their AND with *forbidden*, taken once per variable, blocks
+    exactly the values it holds; a raise does not change it, as it
+    leaves the other variables alone.  A cube already meeting
+    *forbidden* raises nothing.  The on+dc oracle ticks per candidate
+    and the off-set one per raise, as theirs do.
+    """
+    sets = sp.field_sets(cube)
+    universe = sp.universe
+    suffix = [universe] * len(sets)
+    rest = universe
+    for v in range(len(sets) - 1, 0, -1):
+        rest &= sets[v]
+        suffix[v - 1] = rest
+    blocked = rest & sets[0] & forbidden
+    value_sets = sp.value_sets
+    prefix = universe
+    for v, m in enumerate(fmt.masks):
+        free = m & ~cube
+        if free:
+            reach = universe if blocked else prefix & suffix[v] & forbidden
+            field = cube & m
+            while free:
+                if tick_each:
+                    tick()
+                bit = free & -free
+                free ^= bit
+                if reach & value_sets[bit.bit_length() - 1]:
+                    continue
+                if not tick_each:
+                    tick()
+                field |= bit
+                if stats is not None:
+                    stats.expand_raises += 1
+            cube |= field
+            sets[v] = sp.field_set(v, field)
+        prefix &= sets[v]
+    return cube
+
+
 def expand(f: Cover, on_dc: Cover, off: Optional[Cover] = None) -> Cover:
     """Expand every cube of *f* to a prime, dropping newly covered cubes."""
     fmt = f.fmt
+    sp = _space(fmt)
+    forbidden = None
+    if sp is not None:
+        forbidden = (sp.cover_set(off.cubes) if off is not None
+                     else sp.universe & ~sp.cover_set(on_dc.cubes))
     # expand small cubes first: they benefit the most and their primes
     # tend to swallow neighbouring cubes
     counts = backend.minterm_counts(fmt, f.cubes)
@@ -144,7 +233,7 @@ def expand(f: Cover, on_dc: Cover, off: Optional[Cover] = None) -> Cover:
         tick()
         if covered[i]:
             continue
-        prime = _expand_cube(f.cubes[i], on_dc, off)
+        prime = _expand_cube(f.cubes[i], on_dc, off, forbidden)
         out.cubes.append(prime)
         swallowed = backend.contained_mask(fmt, f.cubes, prime)
         for j in order:
@@ -160,21 +249,74 @@ def irredundant(f: Cover, dc: Optional[Cover] = None) -> Cover:
     # try dropping small cubes first
     order = sorted(range(len(f.cubes)), key=counts.__getitem__)
     kept = [f.cubes[i] for i in order]
-    i = 0
-    while i < len(kept):
-        tick()
-        c = kept[i]
-        rest = Cover(fmt)
-        rest.cubes = kept[:i] + kept[i + 1:]
-        if dc is not None:
-            rest.cubes = rest.cubes + list(dc.cubes)
-        if rest.contains_cube(c):
-            kept.pop(i)
-        else:
-            i += 1
+    sp = _space(fmt)
+    if sp is not None:
+        kept = _irredundant_in_space(sp, kept, dc)
+    else:
+        i = 0
+        while i < len(kept):
+            tick()
+            c = kept[i]
+            rest = Cover(fmt)
+            rest.cubes = kept[:i] + kept[i + 1:]
+            if dc is not None:
+                rest.cubes = rest.cubes + list(dc.cubes)
+            if rest.contains_cube(c):
+                kept.pop(i)
+            else:
+                i += 1
     out = Cover(fmt)
     out.cubes = kept
     return out
+
+
+def _suffix_sets(sets: List[int]) -> List[int]:
+    """``out[i]`` is the union of ``sets[i:]``; ``out[len(sets)]`` is 0."""
+    out = [0] * (len(sets) + 1)
+    for i in range(len(sets) - 1, -1, -1):
+        out[i] = out[i + 1] | sets[i]
+    return out
+
+
+def _irredundant_in_space(sp: Space, cubes: List[int],
+                          dc: Optional[Cover]) -> List[int]:
+    """IRREDUNDANT on minterm sets, in one sweep.
+
+    Cube ``i`` is dropped when its set lies inside the union of the
+    cubes kept before it (``prefix``), every cube after it (all still
+    present when it is tested) and *dc* — the cover the sequential
+    tautology test sees.
+    """
+    sets = [sp.cube_set(c) for c in cubes]
+    suffix = _suffix_sets(sets)
+    prefix = sp.cover_set(dc.cubes) if dc is not None else 0
+    kept = []
+    for i, c in enumerate(cubes):
+        tick()
+        if sets[i] & ~(prefix | suffix[i + 1]):
+            kept.append(c)
+            prefix |= sets[i]
+    return kept
+
+
+def _reduce_in_space(sp: Space, cubes: List[int],
+                     dc: Optional[Cover]) -> None:
+    """REDUCE on minterm sets, in place, in one sweep.
+
+    ``c`` becomes the supercube of the minterms of ``c`` outside the
+    rest of the cover: the cubes before it, already reduced
+    (``prefix``), the cubes after it, not yet reduced, and *dc*.  That
+    is ``c ∩ sccc((F − c + D)|c)`` (DESIGN §6 item 17); 0 when the rest
+    covers ``c``.
+    """
+    sets = [sp.cube_set(c) for c in cubes]
+    suffix = _suffix_sets(sets)
+    prefix = sp.cover_set(dc.cubes) if dc is not None else 0
+    for i, c in enumerate(cubes):
+        tick()
+        c = sp.supercube(sets[i] & ~(prefix | suffix[i + 1]), c)
+        cubes[i] = c
+        prefix |= sp.cube_set(c)
 
 
 def reduce_cover(
@@ -198,14 +340,18 @@ def reduce_cover(
     order = sorted(range(len(f.cubes)), key=counts.__getitem__,
                    reverse=largest_first)
     cubes = [f.cubes[i] for i in order]
-    for i in range(len(cubes)):
-        tick()
-        c = cubes[i]
-        rest = Cover(fmt)
-        rest.cubes = cubes[:i] + cubes[i + 1:]
-        if dc is not None:
-            rest.cubes = rest.cubes + list(dc.cubes)
-        cubes[i] = c & urp.sccc(rest.cofactor(c))
+    sp = _space(fmt)
+    if sp is not None:
+        _reduce_in_space(sp, cubes, dc)
+    else:
+        for i in range(len(cubes)):
+            tick()
+            c = cubes[i]
+            rest = Cover(fmt)
+            rest.cubes = cubes[:i] + cubes[i + 1:]
+            if dc is not None:
+                rest.cubes = rest.cubes + list(dc.cubes)
+            cubes[i] = c & urp.sccc(rest.cofactor(c))
     out = Cover(fmt)
     for c in cubes:
         if c and not fmt.is_empty(c):
