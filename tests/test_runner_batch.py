@@ -164,7 +164,7 @@ class TestBatchRunner(FailurePaths):
         entries = read_results(tmp_path / "run" / "results.jsonl").records
         assert {e["task"] for e in entries} == {t.task_id for t in tasks}
         # worker perf counters came back across the process boundary
-        assert report.perf.tautology_calls > 0
+        assert report.perf.espresso_passes > 0
         assert read_manifest(tmp_path / "run")["status"] == "complete"
 
     def test_results_match_in_process_encode(self, tmp_path):
