@@ -1,8 +1,8 @@
 """Content-addressed fingerprints for whole-pipeline encode results.
 
 The encode pipeline is deterministic for a fixed (machine, options,
-code version) tuple, so one SHA-256 over a canonical rendering of all
-three is a sound cache key:
+code) tuple, so one SHA-256 over a canonical rendering of all three is
+a sound cache key:
 
 * **machine** — a stable text serialization of the FSM: name, I/O
   widths, reset state, symbolic value lists, and every transition row
@@ -16,15 +16,21 @@ three is a sound cache key:
   seed, so the seed is the only thing standing between one cache key
   and many distinct results).  The ``cache`` policy field is excluded —
   it changes where a result comes from, never what it is.
-* **version** — ``repro.__version__``.  Any release may change
-  minimization heuristics or tie-breaks, so a version bump invalidates
-  every prior entry by construction; no migration logic needed.
+* **code** — :func:`code_salt`, a digest of the source text of the
+  packages an encode runs (:data:`ENCODE_PACKAGES`), plus
+  ``repro.__version__``.  Any edit to a minimization heuristic or a
+  tie-break changes the digest, so two checkouts of one version never
+  share entries and a changed tree never reads a result the old code
+  computed; no migration logic needed.  The digest is computed on the
+  first key of a process, from the files alone (nothing is imported).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
+from typing import Optional
 
 from repro import _version
 from repro.encoding.options import EncodeOptions
@@ -32,6 +38,37 @@ from repro.fsm.machine import FSM
 
 #: Bump when the canonical rendering itself changes shape.
 FINGERPRINT_SCHEMA = 1
+
+#: Subpackages of ``repro`` whose code decides an encode result.
+ENCODE_PACKAGES = ("baselines", "constraints", "encoding", "eval", "fsm",
+                   "logic", "perf", "symbolic")
+
+_code_salt: Optional[str] = None
+
+
+def source_digest(root: str) -> str:
+    """Hex SHA-256 over the ``.py`` files of :data:`ENCODE_PACKAGES`
+    under the package directory *root*: their paths and text, in sorted
+    order."""
+    h = hashlib.sha256()
+    for package in ENCODE_PACKAGES:
+        top = os.path.join(root, package)
+        for name in sorted(os.listdir(top)):
+            if name.endswith(".py"):
+                h.update(f"{package}/{name}\n".encode("utf-8"))
+                with open(os.path.join(top, name), "rb") as f:
+                    h.update(f.read())
+    return h.hexdigest()
+
+
+def code_salt() -> str:
+    """The :func:`source_digest` of this ``repro`` package, computed
+    once per process."""
+    global _code_salt
+    if _code_salt is None:
+        _code_salt = source_digest(
+            os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+    return _code_salt
 
 
 def canonical_fsm(fsm: FSM) -> str:
@@ -64,10 +101,11 @@ def canonical_options(options: EncodeOptions) -> str:
 
 
 def fingerprint(fsm: FSM, options: EncodeOptions) -> str:
-    """The cache key: hex SHA-256 of machine + options + version."""
+    """The cache key: hex SHA-256 of machine + options + code."""
     payload = "\n\x00".join((
         f"nova-encode-cache/{FINGERPRINT_SCHEMA}",
         _version.__version__,  # looked up at call time: patchable salt
+        code_salt(),
         canonical_options(options),
         canonical_fsm(fsm),
     ))

@@ -10,16 +10,18 @@ set, so union, intersection and inclusion of whole covers are single
 big-int operations instead of tautology recursions.
 
 The set of a cube is the AND of one *field set* per variable: the
-minterms whose digit ``v`` lies in the cube's field.  The minterms that
-raising value ``j`` of variable ``v`` adds to a cube are the ones with
-digit ``v = j`` inside the field sets of every other variable, so the
-raise test of EXPAND is one AND with ``value_sets[b]``
-(:func:`repro.logic.espresso._expand_in_space`).  Only ANDs and ORs
-are used: shifting a big int costs several ANDs.
+minterms whose digit ``v`` lies in the cube's field, the OR of the
+``value_sets`` of its values.  The minterms that raising value ``j`` of
+variable ``v`` adds to a cube are the ones with digit ``v = j`` inside
+the field sets of every other variable, so espresso's EXPAND tests a
+raise with one AND against ``value_sets[b]``; a subcube's set is its
+cube's set ANDed with the field sets that narrow
+(:meth:`Space.subcube_set`).  Only ANDs and ORs are used on sets:
+shifting a big int costs several ANDs.
 
 Spaces are built on first use and cached by ``Format.parts``; nothing
-is built at import.  Callers decide which formats are small enough
-(:data:`repro.logic.espresso.MINTERM_SPACE_MAX`).
+is built at import.  The espresso dispatch decides which formats are
+small enough (:func:`repro.logic.espresso._space`).
 """
 
 from __future__ import annotations
@@ -72,11 +74,14 @@ class Space:
         stride = 1
         for p in fmt.parts:
             period = stride * p
-            # one bit at the start of every period, across the space
-            repeat = self.universe // ((1 << period) - 1)
             for j in range(p):
-                value_sets.append((((1 << stride) - 1) << (j * stride))
-                                  * repeat)
+                # the run of value j in one period, repeated by doubling
+                # (a multiplication by a big repeat pattern is quadratic)
+                out, width = ((1 << stride) - 1) << (j * stride), period
+                while width < total:
+                    out |= out << width
+                    width <<= 1
+                value_sets.append(out & self.universe)
             stride = period
         self.value_sets: Tuple[int, ...] = tuple(value_sets)
         # (mask, masked field -> field set) per variable
@@ -117,7 +122,11 @@ class Space:
         s = self._memo.get(cube)
         if s is None:
             s = self.universe
-            for t in self.field_sets(cube):
+            for m, memo in self._vars:
+                f = cube & m
+                t = memo.get(f)
+                if t is None:
+                    t = memo[f] = self._or_values(f)
                 s &= t
             if len(self._memo) >= self._memo_max:
                 self._memo.clear()
@@ -130,6 +139,14 @@ class Space:
         for c in cubes:
             out |= self.cube_set(c)
         return out
+
+    def subcube_set(self, s: int, cube: int, sub: int) -> int:
+        """Minterms of *sub*, a non-empty subcube of *cube*, from the set
+        *s* of *cube*: only the fields that narrow are ANDed in."""
+        for v, (m, _) in enumerate(self._vars):
+            if (cube ^ sub) & m:
+                s &= self.field_set(v, sub & m)
+        return s
 
     def supercube(self, u: int, cube: int) -> int:
         """Smallest cube containing the minterm set *u*, given ``u ⊆ cube``.

@@ -7,13 +7,17 @@ in explicitly with ``cache="on"`` plus a tmp ``NOVA_CACHE_DIR``.
 
 from __future__ import annotations
 
+import importlib
 import json
 import os
+from pathlib import Path
+import shutil
 import subprocess
 import sys
 
 import pytest
 
+from repro import _version
 from repro import cache as cache_mod
 from repro import perf
 from repro.cache.codec import CacheDecodeError, decode_result, encode_result
@@ -89,6 +93,31 @@ class TestFingerprint:
         o = EncodeOptions()
         before = cache_mod.fingerprint(fsm, o)
         monkeypatch.setattr(_version, "__version__", "999.0.0")
+        assert cache_mod.fingerprint(fsm, o) != before
+
+    def test_code_salt_follows_the_source(self, tmp_path):
+        # a copy of the encode-path packages digests like the package;
+        # editing one module's text changes the digest
+        fp = importlib.import_module("repro.cache.fingerprint")
+        src = Path(fp.__file__).resolve().parents[1]
+        for package in fp.ENCODE_PACKAGES:
+            (tmp_path / package).mkdir()
+            for path in (src / package).glob("*.py"):
+                shutil.copy(path, tmp_path / package / path.name)
+        assert fp.source_digest(str(tmp_path)) == fp.code_salt()
+        module = tmp_path / "logic" / "espresso.py"
+        module.write_text(module.read_text() + "\n# edited\n")
+        assert fp.source_digest(str(tmp_path)) != fp.code_salt()
+
+    def test_key_is_salted_with_the_code_not_only_the_version(
+            self, monkeypatch):
+        fp = importlib.import_module("repro.cache.fingerprint")
+        fsm = benchmark("lion")
+        o = EncodeOptions()
+        before = cache_mod.fingerprint(fsm, o)
+        salt = fp.code_salt()
+        assert len(salt) == 64 and salt != _version.__version__
+        monkeypatch.setattr(fp, "_code_salt", "0" * 64)
         assert cache_mod.fingerprint(fsm, o) != before
 
     def test_transition_order_matters(self):

@@ -2,10 +2,14 @@
 
 With an explicit off-set, the minterm path decides REDUCE, EXPAND and
 IRREDUNDANT without a single tautology call or URP recursion, so a
-size check that silently sent small formats back to the unate-recursive
+dispatch that silently sent covered formats back to the unate-recursive
 code would show up here as non-zero counters, even though every result
-would still be right.  The verification gates check that path with
-code it does not share, so they must not import it.
+would still be right.  Covered are formats of at most
+``MINTERM_SPACE_MAX`` minterms and, when every input is binary, up to
+``BINARY_SPACE_MAX`` minterms within ``BINARY_WORK_MAX`` minterms ×
+cubes: the one-hot encode of modulo12 is one.  The verification gates
+check that path with code it does not share, so they must not import
+it.
 """
 
 import ast
@@ -14,10 +18,13 @@ from pathlib import Path
 
 from repro import perf
 from repro.encoding.base import Encoding, counting_sequence_code
+from repro.encoding.onehot import onehot_code
 from repro.eval.instantiate import instantiate
 from repro.fsm.benchmarks import benchmark
 from repro.fsm.symbolic_cover import build_symbolic_cover
 from repro.logic import minterms
+from repro.logic.cover import Cover
+from repro.logic.cube import Format
 
 # the package re-exports the espresso() function under the module's name
 esp = importlib.import_module("repro.logic.espresso")
@@ -29,12 +36,11 @@ def counting_code(n: int) -> Encoding:
     return counting_sequence_code(n, max(1, (n - 1).bit_length()))
 
 
-def encoded_covers(name: str):
+def encoded_covers(name: str, code=counting_code):
     fsm = benchmark(name)
     symbols = (counting_code(len(fsm.symbolic_input_values))
                if fsm.has_symbolic_input else None)
-    on, dc, off, *_ = instantiate(fsm, counting_code(fsm.num_states),
-                                  symbols)
+    on, dc, off, *_ = instantiate(fsm, code(fsm.num_states), symbols)
     return on, dc, off
 
 
@@ -63,10 +69,34 @@ def test_symbolic_mv_cover_makes_no_urp_calls():
     assert stats.urp_recursions == 0
 
 
+def test_onehot_encoded_binary_cover_above_the_space_bound_is_covered():
+    on, dc, off = encoded_covers("modulo12", onehot_code)
+    size = minterms.size(on.fmt)
+    assert max(on.fmt.parts[:-1]) == 2
+    assert esp.MINTERM_SPACE_MAX < size <= esp.BINARY_SPACE_MAX
+    assert esp._space(on) is not None
+    stats = run_counted(on, dc, off)
+    assert stats.espresso_passes > 0
+    assert stats.tautology_calls == 0
+    assert stats.urp_recursions == 0
+
+
+def test_mv_inputs_and_too_many_cubes_take_the_urp_path():
+    # a multiple-valued input: the binary bounds do not apply
+    mv = Cover(Format([2] * 10 + [4, 3]))
+    assert esp.MINTERM_SPACE_MAX < minterms.size(mv.fmt)
+    assert esp._space(mv) is None
+    binary = Cover(Format([2] * 12 + [3]))
+    assert esp._space(binary) is not None
+    binary.cubes = [binary.fmt.universe] * (
+        esp.BINARY_WORK_MAX // minterms.size(binary.fmt) + 1)
+    assert esp._space(binary) is None  # too many cubes for its size
+
+
 def test_format_above_the_bound_takes_the_urp_path():
     on, dc, off = encoded_covers("scf")
-    assert minterms.size(on.fmt) > esp.MINTERM_SPACE_MAX
-    assert esp._space(on.fmt) is None
+    assert minterms.size(on.fmt) > esp.BINARY_SPACE_MAX
+    assert esp._space(on) is None
     stats = run_counted(on, dc, off, effort="low")
     assert stats.tautology_calls > 0
     assert stats.urp_recursions > 0
