@@ -44,9 +44,9 @@ ALGORITHMS = ("iexact", "ihybrid", "igreedy", "iohybrid", "iovariant",
 
 #: Machines whose iexact encode finishes well within a second.  On the
 #: other five iexact runs long, so only the full matrix covers them:
-#: ex5 (~2 s), lion9 and train11 (~11 s) search until their work caps;
-#: dk15 and ex3 stop at iexact's 30 s time budget and fall back to
-#: ihybrid, an outcome a much faster search could change.
+#: ex5 (~1 s) finds a code; lion9 and train11 (~3-5 s) exhaust their
+#: level vectors, and dk15 and ex3 (~10-15 s) stop at the sweep's total
+#: work cap (``iexact.SWEEP_MAX_WORK``); all four fall back to ihybrid.
 QUICK_IEXACT = ("lion", "train4", "bbtas", "beecount", "dk27", "shiftreg",
                 "modulo12", "dol")
 

@@ -9,8 +9,12 @@ so the face contains ``2**level`` vertices — matching the paper's
 
 from __future__ import annotations
 
-from itertools import combinations
-from typing import Dict, Iterator, Optional
+from itertools import chain, combinations
+from math import comb
+from typing import Dict, Iterable, Iterator, Optional, Tuple
+
+#: a face as ``(care, val)`` ints, the form the embedding search uses
+Pair = Tuple[int, int]
 
 _UNIVERSE_CACHE: Dict[int, "Face"] = {}
 
@@ -140,6 +144,39 @@ def min_level(cardinality: int) -> int:
     return (cardinality - 1).bit_length()
 
 
+def _level_pairs(k: int, level: int) -> Iterator[Pair]:
+    """:func:`faces_of_level` as ``(care, val)`` pairs."""
+    full = (1 << k) - 1
+    for free in combinations(range(k), level):
+        care = full
+        for pos in free:
+            care &= ~(1 << pos)
+        # the values are the submasks of care in increasing order, which
+        # is the order of genface's counter over the care positions
+        val = 0
+        while True:
+            yield care, val
+            val = (val - care) & care
+            if not val:
+                break
+
+
+def _subface_pairs(k: int, care: int, val: int, level: int
+                   ) -> Iterator[Pair]:
+    """:func:`subfaces` of the face ``(care, val)`` as pairs."""
+    free = [pos for pos in range(k) if not (care >> pos) & 1]
+    for fixed in combinations(free, len(free) - level):
+        mask = 0
+        for pos in fixed:
+            mask |= 1 << pos
+        sub = 0
+        while True:
+            yield care | mask, val | sub
+            sub = (sub - mask) & mask
+            if not sub:
+                break
+
+
 def faces_of_level(k: int, level: int) -> Iterator[Face]:
     """All faces of the k-cube with the given level, lexicographically.
 
@@ -148,18 +185,8 @@ def faces_of_level(k: int, level: int) -> Iterator[Face]:
     """
     if level < 0 or level > k:
         return
-    positions = list(range(k))
-    for free in combinations(positions, level):
-        care = (1 << k) - 1
-        for pos in free:
-            care &= ~(1 << pos)
-        care_positions = [p for p in positions if (care >> p) & 1]
-        for bits in range(1 << len(care_positions)):
-            val = 0
-            for j, pos in enumerate(care_positions):
-                if (bits >> j) & 1:
-                    val |= 1 << pos
-            yield Face(k, care, val)
+    for care, val in _level_pairs(k, level):
+        yield Face(k, care, val)
 
 
 def subfaces(face: Face, level: int) -> Iterator[Face]:
@@ -170,22 +197,78 @@ def subfaces(face: Face, level: int) -> Iterator[Face]:
     """
     if level > face.level or level < 0:
         return
-    free = [i for i in range(face.k) if not (face.care >> i) & 1]
-    keep = face.level - level  # how many positions get newly fixed
-    for fixed in combinations(free, keep):
-        care = face.care
-        for pos in fixed:
-            care |= 1 << pos
-        for bits in range(1 << keep):
-            val = face.val
-            for j, pos in enumerate(fixed):
-                if (bits >> j) & 1:
-                    val |= 1 << pos
-            yield Face(face.k, care, val)
+    for care, val in _subface_pairs(face.k, face.care, face.val, level):
+        yield Face(face.k, care, val)
+
+
+# ----------------------------------------------------------------------
+# geometry tables: the same faces as (care, val) int pairs
+# ----------------------------------------------------------------------
+#: a table longer than this is generated on every use instead of kept
+TABLE_MAX = 1 << 12
+#: pairs kept over all tables; a table that would pass it drops them
+TABLES_MAX_ENTRIES = 1 << 16
+
+_TABLES: Dict[Tuple[int, ...], Tuple[Pair, ...]] = {}
+_table_entries = 0
+
+
+def _keep(key: Tuple[int, ...], pairs: Iterator[Pair]) -> Tuple[Pair, ...]:
+    global _table_entries
+    table = tuple(pairs)
+    if _table_entries + len(table) > TABLES_MAX_ENTRIES:
+        _TABLES.clear()
+        _table_entries = 0
+    _TABLES[key] = table
+    _table_entries += len(table)
+    return table
+
+
+def level_pairs(k: int, level: int) -> Iterable[Pair]:
+    """:func:`faces_of_level` as ``(care, val)`` pairs, in its order.
+
+    The pairs come from a table keyed by ``(k, level)`` and built on
+    first use, unless the table would be longer than :data:`TABLE_MAX`.
+    """
+    table = _TABLES.get((k, level))
+    if table is not None:
+        return table
+    if level < 0 or level > k:
+        return ()
+    if count_faces_of_level(k, level) > TABLE_MAX:
+        return _level_pairs(k, level)
+    return _keep((k, level), _level_pairs(k, level))
+
+
+def subface_pairs(k: int, care: int, val: int, low: int) -> Iterable[Pair]:
+    """Every subface of ``(care, val)`` from level *low* up to the face's
+    own, as ``(care, val)`` pairs: :func:`subfaces` level by level.
+
+    Tabled per ``(k, care, val, low)`` like :func:`level_pairs`.
+    """
+    key = (k, care, val, low)
+    table = _TABLES.get(key)
+    if table is not None:
+        return table
+    top = k - care.bit_count()
+    levels = range(max(low, 0), top + 1)
+    pairs = chain.from_iterable(
+        _subface_pairs(k, care, val, level) for level in levels)
+    if sum(comb(top, level) << (top - level) for level in levels) \
+            > TABLE_MAX:
+        return pairs
+    return _keep(key, pairs)
+
+
+def vertex_mask(k: int, care: int, val: int) -> int:
+    """The face's vertices as a 2^k-bit int (bit c set for code c)."""
+    bits = 1 << val
+    for pos in range(k):
+        if not (care >> pos) & 1:
+            bits |= bits << (1 << pos)
+    return bits
 
 
 def count_faces_of_level(k: int, level: int) -> int:
     """Number of faces of a given level in the k-cube: C(k,l) * 2^(k-l)."""
-    from math import comb
-
     return comb(k, level) * (1 << (k - level))

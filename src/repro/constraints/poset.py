@@ -15,6 +15,7 @@ the category classification that drives the backtracking:
 
 from __future__ import annotations
 
+import bisect
 from typing import Dict, Iterable, List, Set
 
 
@@ -57,16 +58,24 @@ class InputGraph:
 
     # ------------------------------------------------------------------
     def _build_edges(self) -> None:
-        by_card = sorted(self.nodes, key=lambda m: m.bit_count())
+        by_card = sorted(self.nodes, key=int.bit_count)
+        cards = [ic.bit_count() for ic in by_card]
         for ic in by_card:
             if ic == self.universe:
                 self.fathers[ic] = []
                 continue
-            supersets = [o for o in self.nodes
-                         if o != ic and ic & ~o == 0]
-            # fathers: minimal supersets (no other superset strictly inside)
-            fathers = [s for s in supersets
-                       if not any(t != s and t & ~s == 0 for t in supersets)]
+            # fathers: minimal strict supersets.  Scanned in cardinality
+            # order, a superset is minimal exactly when no father found
+            # before it lies inside it.
+            fathers: List[int] = []
+            for s in by_card[bisect.bisect_right(cards, ic.bit_count()):]:
+                if ic & ~s:
+                    continue
+                for f in fathers:
+                    if f & ~s == 0:
+                        break
+                else:
+                    fathers.append(s)
             self.fathers[ic] = sorted(fathers)
         for ic in self.nodes:
             self.children[ic] = []

@@ -17,11 +17,12 @@ The search keeps its state across assignments instead of rescanning
 it per step (DESIGN.md §6, item 16): readiness counts pick the next
 constraint node, per-state forbidden-vertex masks verify a state code
 with two bit tests, and once every constraint face is placed the codes
-are placed in a frozen MRV order.  It generates the same candidates
-in the same order and charges the budget once per candidate, like the
-rescanning engine ``tests/test_posequiv_property.py`` keeps as its
-oracle, so encodings and ``max_work`` trip points do not depend on the
-bookkeeping.
+are placed in a frozen MRV order.  Faces are ``(care, val)`` int pairs
+drawn from per-geometry tables.  It generates the same candidates in
+the same order and charges the budget once per candidate (the blocked
+state codes in bulk), like the rescanning engine
+``tests/test_posequiv_property.py`` keeps as its oracle, so encodings
+and ``max_work`` trip points do not depend on the bookkeeping.
 
 Deliberate deviations from a literal reading of the paper are recorded
 in DESIGN.md §6: the two-phase backtracking of ``pos_equiv`` becomes
@@ -39,11 +40,12 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set, Tupl
 
 from repro import perf
 from repro.constraints.faces import (
-    Face,
+    Pair,
     count_faces_of_level,
-    faces_of_level,
+    level_pairs,
     min_level,
-    subfaces,
+    subface_pairs,
+    vertex_mask,
 )
 from repro.constraints.input_constraints import ConstraintSet
 from repro.constraints.poset import InputGraph
@@ -53,7 +55,10 @@ from repro.perf.budget import Budget, BudgetExceeded, tick
 
 # an io_check receives (state, proposed code, codes fixed so far) and may
 # veto the assignment -- used by io_semiexact_code to enforce output
-# covering constraints while the input search runs
+# covering constraints while the input search runs.  A hook that also
+# has an ``allowed(state, codes, k)`` method returning a mask of the
+# codes the state may take (bit c for code c) is asked once per state
+# placement instead of once per code.
 IoCheck = Callable[[int, int, Dict[int, int]], bool]
 
 # ----------------------------------------------------------------------
@@ -62,9 +67,10 @@ IoCheck = Callable[[int, int, Dict[int, int]], bool]
 def count_cond1(ig: InputGraph) -> int:
     """Enough faces of every level for the constraints needing them."""
     need: Dict[int, int] = {}
-    for ic in ig.non_universe_nodes():
-        tick()
-        lvl = min_level(ig.cardinality(ic))
+    nodes = ig.non_universe_nodes()
+    tick(len(nodes))
+    for ic in nodes:
+        lvl = min_level(ic.bit_count())
         need[lvl] = need.get(lvl, 0) + 1
     k = max(1, min_level(ig.n))
     while True:
@@ -78,19 +84,21 @@ def count_cond1(ig: InputGraph) -> int:
 def count_cond2(ig: InputGraph, k: int) -> int:
     """A face of level l has k - l minimal including faces; every
     constraint needs at least as many as it has fathers."""
-    for ic in ig.non_universe_nodes():
-        tick()
-        lvl = min_level(ig.cardinality(ic))
-        k = max(k, lvl + len(ig.fathers[ic]))
+    fathers = ig.fathers
+    nodes = ig.non_universe_nodes()
+    tick(len(nodes))
+    for ic in nodes:
+        k = max(k, min_level(ic.bit_count()) + len(fathers[ic]))
     return k
 
 
 def count_cond3(ig: InputGraph, k: int) -> int:
     """Virtual states introduced by uneven constraints (§3.3.2.2)."""
     vrt = []
-    for ic in ig.non_universe_nodes():
-        tick()
-        c = ig.cardinality(ic)
+    nodes = ig.non_universe_nodes()
+    tick(len(nodes))
+    for ic in nodes:
+        c = ic.bit_count()
         pow2 = 1 << min_level(c)
         if pow2 != c:
             vrt.append(pow2 - c)
@@ -122,7 +130,7 @@ def mincube_dim(ig: InputGraph) -> int:
 # ----------------------------------------------------------------------
 #: a singleton's vertex-phase MRV entry: (room, node, region masks);
 #: room is the region's level, -1 when the region is empty
-_Slot = Tuple[int, int, Optional[Tuple[int, int]]]
+_Slot = Tuple[int, int, Optional[Pair]]
 
 
 class _PosEquiv:
@@ -139,6 +147,8 @@ class _PosEquiv:
     What the phases read is kept across ``_assign``/``_undo`` instead of
     being rebuilt per search step: readiness counts of unplaced fathers,
     the singletons' MRV order, and per-state forbidden-vertex masks.
+    Faces are ``(care, val)`` int pairs throughout; the candidates come
+    from the geometry tables of :mod:`repro.constraints.faces`.
     """
 
     def __init__(
@@ -160,28 +170,45 @@ class _PosEquiv:
         self.io_check = io_check
         # faces of the universe and the placed constraint nodes; the
         # singletons' vertex faces join once a solution is found
-        self.enc: Dict[int, Face] = {ig.universe: Face.universe(k)}
-        self.used: Set[Tuple[int, int]] = set()  # placed (care, val)
+        self.enc: Dict[int, Pair] = {ig.universe: (0, 0)}
+        self.used: Set[Pair] = set()  # placed constraint faces
         self.codes: Dict[int, int] = {}  # state -> code, for io_check
         nodes = ig.non_universe_nodes()
         constraints = [ic for ic in nodes if ic & (ic - 1)]
+        fathers = ig.fathers
+        universe = ig.universe
         self._real_fathers: Dict[int, List[int]] = {
-            ic: [f for f in ig.fathers[ic] if f != ig.universe]
-            for ic in nodes
-        }
+            ic: [f for f in fathers[ic] if f != universe] for ic in nodes}
+        # per constraint: its category-1 level, or None for category 2/3
+        # (their faces are subfaces of the fathers' intersection), and
+        # the lowest level its faces may have
+        self._level: Dict[int, Optional[int]] = {}
+        self._low: Dict[int, int] = {}
+        # the static part of the selection key (larger faces first, then
+        # category 1); children are bitmasks over node indices, so the
+        # "shares a child with the last node" tie-break is one AND
+        self._rank: Dict[int, Tuple[int, bool]] = {}
+        index = {ic: i for i, ic in enumerate(ig.nodes)}
+        children = ig.children
+        self._child_bits: Dict[int, int] = {}
+        for ic in constraints:
+            low = min_level(ic.bit_count())
+            primary = fathers[ic] == [universe]
+            level = self.dimvect.get(ic, low) if primary else low
+            self._level[ic] = level if primary else None
+            self._low[ic] = low
+            self._rank[ic] = (-level, not primary)
+            self._child_bits[ic] = sum(1 << index[c] for c in children[ic])
         # readiness: unplaced real fathers per constraint node; a node
         # is ready (selectable) when its count is zero
         self._pending = {ic: len(self._real_fathers[ic])
                          for ic in constraints}
+        # per constraint: its constraint children and singleton children
+        self._children: Dict[int, Tuple[List[int], List[int]]] = {
+            ic: ([c for c in children[ic] if c & (c - 1)],
+                 [c for c in children[ic] if not c & (c - 1)])
+            for ic in constraints}
         self._ready = {ic for ic in constraints if not self._pending[ic]}
-        # the static part of the selection key (larger faces first, then
-        # category 1); children are bitmasks over node indices, so the
-        # "shares a child with the last node" tie-break is one AND
-        index = {ic: i for i, ic in enumerate(ig.nodes)}
-        self._rank = {ic: (-self._target_level(ic), ig.category(ic) != 1)
-                      for ic in constraints}
-        self._child_bits = {ic: sum(1 << index[c] for c in ig.children[ic])
-                            for ic in constraints}
         # per constraint: the constraints crossing it, memoized
         self._crossing: Dict[int, List[int]] = {}
         self._constraints = constraints
@@ -190,11 +217,12 @@ class _PosEquiv:
         # are re-slotted when the next vertex phase starts
         # (with one state the universe is the only singleton: no slot)
         self._slot: Dict[int, _Slot] = {
-            ic: self._mrv_slot(ic) for ic in nodes if ic & (ic - 1) == 0}
+            ic: self._mrv_slot(ic, self._region_masks(ic))
+            for ic in nodes if ic & (ic - 1) == 0}
         self._order: List[_Slot] = sorted(self._slot.values())
         self._stale: Set[int] = set()
-        # sorted vertex lists of singleton regions, for the whole search
-        self._vertices: Dict[Tuple[int, int], List[int]] = {}
+        # vertex masks of singleton regions, for the whole search
+        self._vertices: Dict[Pair, int] = {}
         # forbidden vertices, one 2^k-bit field per state: codes inside
         # a placed face whose constraint excludes the state, or outside
         # one whose constraint includes it; restored from the stack.
@@ -204,17 +232,13 @@ class _PosEquiv:
         self._forbid = 0
         self._forbid_stack: List[int] = []
         self._fields: Dict[int, int] = {}
-        self._all_states = self._state_fields(ig.universe)
+        self._all_states = self._state_fields(universe)
+        # per face: its vertex mask copied into every state's field
+        self._inside: Dict[Pair, int] = {}
 
     @property
     def work(self) -> int:
         return self.budget.work
-
-    def _target_level(self, ic: int) -> int:
-        cardinality = self.ig.cardinality(ic)
-        if self.ig.category(ic) == 1:
-            return self.dimvect.get(ic, min_level(cardinality))
-        return min_level(cardinality)
 
     # -- verification -----------------------------------------------------
     # The checks realize the §3.1 criterion (f(ic) ∩ f(s) ≠ ∅ ⇔ s ∈ ic)
@@ -225,13 +249,15 @@ class _PosEquiv:
     # intersection.  The §3.4.3 constraint-vs-constraint equalities are
     # *not* enforced: taken literally they reject satisfiable instances
     # (any triangle of pair constraints), which the real NOVA encodes.
-    def _verify(self, ic: int, face: Face) -> bool:
-        """Constraint-face check; no state has a code yet (see class)."""
-        if face.cardinality < self.ig.cardinality(ic):
-            return False
-        care, val = face.care, face.val
-        if (care, val) in self.used:
+    def _verify(self, ic: int, face: Pair) -> bool:
+        """Constraint-face check; no state has a code yet (see class).
+
+        A face too small for the constraint never gets here: such
+        candidates are charged and skipped by :meth:`_search`.
+        """
+        if face in self.used:
             return False  # injectivity
+        care, val = face
         # sound forward pruning: two constraints sharing a state must get
         # intersecting faces -- the shared state's code will lie in both.
         # Placed ancestors contain the face already and descendants are
@@ -246,19 +272,22 @@ class _PosEquiv:
         # crossing faces; _search charges once per candidate face
         for other in crossing:
             of = enc_get(other)
-            if of is not None and (val ^ of.val) & care & of.care:
+            if of is not None and (val ^ of[1]) & care & of[0]:
                 return False
         return True
 
-    def _assign(self, ic: int, face: Face) -> None:
+    def _assign(self, ic: int, face: Pair) -> None:
         """Place a constraint face and update what depends on it."""
         self.enc[ic] = face
-        self.used.add((face.care, face.val))
+        self.used.add(face)
         self._ready.discard(ic)
         self._touch_children(ic, -1)
-        inside = int.from_bytes(
-            self._face_bits(face).to_bytes(self._width // 8, "little")
-            * self.ig.n, "little")
+        inside = self._inside.get(face)
+        if inside is None:
+            inside = self._inside[face] = int.from_bytes(
+                vertex_mask(self.k, *face).to_bytes(self._width // 8,
+                                                    "little")
+                * self.ig.n, "little")
         members = self._state_fields(ic)
         everyone = self._all_states
         self._forbid_stack.append(self._forbid)
@@ -266,49 +295,38 @@ class _PosEquiv:
             (inside ^ everyone) & members
 
     def _undo(self, ic: int) -> None:
-        face = self.enc.pop(ic)
-        self.used.discard((face.care, face.val))
+        self.used.discard(self.enc.pop(ic))
         self._ready.add(ic)  # its fathers are still placed
         self._touch_children(ic, +1)
         self._forbid = self._forbid_stack.pop()
 
     def _touch_children(self, ic: int, delta: int) -> None:
         """A father of these nodes changed: recount, or mark stale."""
+        constraints, singletons = self._children[ic]
+        self._stale.update(singletons)
         pending = self._pending
-        for child in self.ig.children[ic]:
-            count = pending.get(child)
-            if count is None:
-                self._stale.add(child)  # a singleton
-                continue
+        for child in constraints:
+            count = pending[child]
             pending[child] = count + delta
             if count + delta == 0:
                 self._ready.add(child)
             elif count == 0:
                 self._ready.discard(child)
 
-    def _mrv_slot(self, ic: int) -> _Slot:
-        masks = self._region_masks(ic)
+    def _mrv_slot(self, ic: int, masks: Optional[Pair]) -> _Slot:
         room = -1 if masks is None else self.k - masks[0].bit_count()
         return room, ic, masks
 
     def _reslot(self, ic: int) -> None:
         """Recompute a singleton's region and move it in the MRV order."""
         old = self._slot[ic]
-        new = self._mrv_slot(ic)
-        if new != old:
-            order = self._order
-            del order[bisect.bisect_left(order, old)]
-            bisect.insort(order, new)
-            self._slot[ic] = new
-
-    def _face_bits(self, face: Face) -> int:
-        """The face's vertices as a 2^k-bit int (bit c set for code c)."""
-        bits = 1 << face.val
-        free = ~face.care
-        for pos in range(self.k):
-            if (free >> pos) & 1:
-                bits |= bits << (1 << pos)
-        return bits
+        masks = self._region_masks(ic)
+        if masks == old[2]:
+            return
+        new = self._slot[ic] = self._mrv_slot(ic, masks)
+        order = self._order
+        del order[bisect.bisect_left(order, old)]
+        bisect.insort(order, new)
 
     def _state_fields(self, states: int) -> int:
         """All 2^k bits of each listed state's forbidden-vertex field."""
@@ -334,11 +352,10 @@ class _PosEquiv:
             *rank[ic], not (child_bits[ic] & lic_bits), ic))
 
     # -- face generation (assign_face / genface, §3.4.2) -------------------
-    def _region_masks(self, ic: int) -> Optional[Tuple[int, int]]:
+    def _region_masks(self, ic: int) -> Optional[Pair]:
         """``(care, val)`` of the placed fathers' intersection.
 
-        Pure integer arithmetic; ``None`` when the fathers' faces are
-        disjoint (empty region).
+        ``None`` when the fathers' faces are disjoint (empty region).
         """
         care = 0
         val = 0
@@ -349,39 +366,32 @@ class _PosEquiv:
             face = enc_get(fa)
             if face is None:
                 continue
-            if (val ^ face.val) & care & face.care:
+            fcare, fval = face
+            if (val ^ fval) & care & fcare:
                 return None
-            care |= face.care
-            val |= face.val
+            care |= fcare
+            val |= fval
         return care, val
 
-    def _candidate_faces(self, ic: int) -> Iterator[Face]:
+    def _candidate_faces(self, ic: int) -> Iterable[Pair]:
         """Faces for a constraint node, in genface order."""
-        ig = self.ig
-        if ig.category(ic) == 1:
-            level = self.dimvect.get(ic, min_level(ig.cardinality(ic)))
-            gen = faces_of_level(self.k, level)
+        level = self._level[ic]
+        if level is not None:  # category 1
+            faces = level_pairs(self.k, level)
             if len(self.enc) == 1:
                 # symmetry breaking: the very first face can be fixed --
                 # all faces of one level are hypercube-automorphic
-                for face in gen:
-                    yield face
-                    return
-            yield from gen
-            return
+                return itertools.islice(faces, 1)
+            return faces
         masks = self._region_masks(ic)
         if masks is None:
-            return
-        region = Face(self.k, masks[0], masks[1])
+            return ()
         # category 2/3: faces inside the region, tightest level first
-        low = min_level(ig.cardinality(ic))
-        # nova-lint: disable=NV002 -- candidate generator; _search
-        # charges the budget once per face it consumes from here
-        for level in range(low, region.level + 1):
-            yield from subfaces(region, level)
+        return subface_pairs(self.k, masks[0], masks[1], self._low[ic])
 
     # -- the search --------------------------------------------------------
-    def solve(self) -> Optional[Dict[int, Face]]:
+    def solve(self) -> Optional[Dict[int, Pair]]:
+        """Every node's face as ``(care, val)``, or None."""
         try:
             if self._search(None):
                 return dict(self.enc)
@@ -399,8 +409,16 @@ class _PosEquiv:
         if not self._ready:
             return self._place_vertices()
         ic = self._select_next(lic)
+        charge = self.budget.charge
+        level = self._level[ic]
+        if level is not None and level < self._low[ic]:
+            # a level vector below the constraint's size: every face is
+            # too small, and fails verification after its charge
+            for _ in self._candidate_faces(ic):
+                charge()
+            return False
         for face in self._candidate_faces(ic):
-            self.budget.charge()
+            charge()
             if not self._verify(ic, face):
                 continue
             self._assign(ic, face)
@@ -415,8 +433,12 @@ class _PosEquiv:
         MRV picks the unplaced singleton with the smallest region,
         ``(k - care.bit_count(), ic)`` with -1 for an empty one.  No
         region changes from here on, so the picks follow the frozen
-        ``_order`` and the search is a plain DFS over it: one charge per
-        candidate code, two bit tests plus ``io_check`` per check.
+        ``_order`` and the search is a plain DFS over it.  A region's
+        candidate codes are its vertices in increasing order, one
+        charge each; the loop visits only the *open* ones (not
+        forbidden, not used, not vetoed by an ``io_check`` that has a
+        mask form) and charges the skipped ones in bulk by their rank,
+        so the work and the trip point equal one charge per candidate.
         """
         k = self.k
         # nova-lint: disable=NV002 -- re-slots the singletons whose
@@ -428,37 +450,51 @@ class _PosEquiv:
         vertex_memo = self._vertices
         forbid = self._forbid
         width = self._width
-        field = (1 << (1 << k)) - 1
         io_check = self.io_check
+        allowed = getattr(io_check, "allowed", None)
+        if allowed is not None:
+            io_check = None  # the mask replaces the per-code calls
         codes = self.codes
         charge = self.budget.charge
 
         def place(depth: int, used: int) -> bool:
             if depth == len(order):
                 return self._final_check()
-            _, ic, masks = order[depth]
+            room, ic, masks = order[depth]
             if masks is None:
                 return False  # empty region: no candidate codes
             vertices = vertex_memo.get(masks)
             if vertices is None:
-                vertices = vertex_memo[masks] = backend.face_vertices(
-                    k, masks[0], masks[1])
+                vertices = vertex_memo[masks] = vertex_mask(k, *masks)
             state = ic.bit_length() - 1
-            blocked = (forbid >> (state * width)) & field | used
-            for code in vertices:
-                charge()
-                if (blocked >> code) & 1:
-                    continue
+            open_codes = vertices & ~((forbid >> (state * width)) | used)
+            if allowed is not None and open_codes:
+                open_codes &= allowed(state, codes, k)
+            charged = 0
+            while open_codes:
+                bit = open_codes & -open_codes
+                open_codes ^= bit
+                # this code's rank among the region's vertices, plus one
+                rank = (vertices & (bit - 1)).bit_count() + 1
+                charge(rank - charged)
+                charged = rank
+                code = bit.bit_length() - 1
                 if io_check is not None and \
                         not io_check(state, code, codes):
                     continue
                 codes[state] = code
-                if place(depth + 1, used | 1 << code):
+                if place(depth + 1, used | bit):
                     return True
                 del codes[state]
+            if charged < 1 << room:
+                charge((1 << room) - charged)  # the codes after the last
             return False
 
         return place(0, 0)
+
+    def encoding(self) -> Encoding:
+        """The state codes of a solved search."""
+        return Encoding(self.k, [self.codes[s] for s in range(self.ig.n)])
 
     def _final_check(self) -> bool:
         """Authoritative face-embedding check on the complete assignment.
@@ -471,6 +507,7 @@ class _PosEquiv:
             codes = [self.codes[s] for s in states]
         except KeyError:
             return False  # some state never received a code
+        full = (1 << self.k) - 1
         faces = {ig.universe: self.enc[ig.universe]}
         # nova-lint: disable=NV002 -- runs once per *complete*
         # assignment, after the charged search has already paid for
@@ -478,9 +515,8 @@ class _PosEquiv:
         for ic in ig.non_universe_nodes():
             face = self.enc.get(ic)
             if face is None:  # a singleton: the vertex of its code
-                face = Face.vertex(self.k, codes[ic.bit_length() - 1])
-            if not backend.face_members_ok(
-                    states, codes, ic, face.care, face.val):
+                face = (full, codes[ic.bit_length() - 1])
+            if not backend.face_members_ok(states, codes, ic, *face):
                 return False
             faces[ic] = face
         self.enc = faces
@@ -497,16 +533,21 @@ def pos_equiv(
 ) -> Optional[Encoding]:
     """Decide restricted SUBPOSET EQUIVALENCE; return an encoding if any."""
     engine = _PosEquiv(ig, k, dimvect, max_work, io_check, budget)
-    result = engine.solve()
-    if result is None:
-        return None
-    codes = [engine.codes[s] for s in range(ig.n)]
-    return Encoding(k, codes)
+    return engine.encoding() if engine.solve() is not None else None
 
 
 # ----------------------------------------------------------------------
 # the exact algorithm (§3.3)
 # ----------------------------------------------------------------------
+#: total ``pos_equiv`` work of one :func:`iexact_code` sweep.  The
+#: builtin machines' sweeps that find a code use at most about 0.34M
+#: (physrec; ex5 0.30M), and lion9's and train11's exhaust their level
+#: vectors at 3.84M.  The sweeps that used to end at the 30 s time
+#: budget (dk15, ex3 and most of paper30's) end here instead, so their
+#: outcome does not depend on the speed of the search or of the host.
+SWEEP_MAX_WORK = 4_000_000
+
+
 def _level_vectors(
     primaries: List[int], ig: InputGraph, k: int, limit: int
 ) -> Iterator[Dict[int, int]]:
@@ -535,8 +576,9 @@ def iexact_code(
     """Minimum-length encoding satisfying *all* input constraints.
 
     Exact in spirit and on the benchmark sizes it is meant for; the
-    ``max_work`` / ``max_vectors`` caps make the worst cases give up
-    (returning None) exactly as the paper reports for scf and tbk.
+    ``max_work`` / ``max_vectors`` caps and the sweep's total work cap
+    :data:`SWEEP_MAX_WORK` make the worst cases give up (returning None)
+    exactly as the paper reports for scf and tbk.
     Running out of *wall-clock* allowance is different from an
     exhausted search: it raises
     :class:`~repro.errors.BudgetExhausted` so callers can distinguish
@@ -553,12 +595,16 @@ def iexact_code(
     ig = InputGraph(cs.n, cs.masks())
     upper = cs.n if max_k is None else max_k
     primaries = [p for p in ig.primaries() if p & (p - 1)]  # non-singletons
+    spent = 0
     for k in range(mincube_dim(ig), upper + 1):
         for dimvect in _level_vectors(primaries, ig, k, max_vectors):
             own.check_time()
-            enc = pos_equiv(ig, k, dimvect, max_work, budget=own)
-            if enc is not None:
-                return enc
+            engine = _PosEquiv(ig, k, dimvect, max_work, budget=own)
+            if engine.solve() is not None:
+                return engine.encoding()
+            spent += engine.work
+            if spent > SWEEP_MAX_WORK:
+                return None
     return None
 
 

@@ -13,9 +13,11 @@ check that claim.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.constraints.faces import vertex_mask
 from repro.constraints.input_constraints import ConstraintSet
 from repro.constraints.output_constraints import OutputConstraints
 from repro.encoding.base import Encoding, counting_sequence_code
@@ -35,31 +37,68 @@ class IoStats:
     satisfied_oc_weight: int = 0
 
 
-def _edge_check(active_edges: List[Tuple[int, int]]):
+@functools.lru_cache(maxsize=1 << 13)
+def _covering_mask(k: int, side: int, code: int) -> int:
+    """The codes strictly covering *code* (side 0) or strictly covered
+    by it (side 1), as a 2^k-bit mask: the legal codes of the other
+    endpoint of a covering edge."""
+    if side == 0:
+        care, val = code, code
+    else:
+        care, val = ((1 << k) - 1) & ~code, 0
+    return vertex_mask(k, care, val) & ~(1 << code)
+
+
+class _EdgeCheck:
     """Veto hook enforcing covering edges among already-fixed codes.
 
+    An edge ``(u, v)`` holds when ``u``'s code strictly covers ``v``'s.
     Only the edges incident to the state being placed are tested.  The
     search starts with no codes and calls the hook once per placement,
     so an edge whose endpoints both have codes already passed when its
-    later endpoint was placed.
+    later endpoint was placed.  Besides the per-code call, the hook
+    offers the mask form the search prefers: :meth:`allowed` gives
+    every code the state may take, from the strict superset and subset
+    masks of its neighbours' codes.
     """
-    incident: Dict[int, List[Tuple[int, int]]] = {}
-    for u, v in active_edges:
-        incident.setdefault(u, []).append((u, v))
-        if v != u:
-            incident.setdefault(v, []).append((u, v))
 
-    def check(state: int, code: int, codes: Dict[int, int]) -> bool:
-        for u, v in incident.get(state, ()):
-            cu = code if u == state else codes.get(u)
-            cv = code if v == state else codes.get(v)
-            if cu is None or cv is None:
+    __slots__ = ("_neighbours", "_loops")
+
+    def __init__(self, active_edges: List[Tuple[int, int]]) -> None:
+        # per state: (other endpoint, side), side 0 when the state's
+        # code must cover the other's, 1 when it must be covered by it
+        neighbours: Dict[int, List[Tuple[int, int]]] = {}
+        for u, v in active_edges:
+            if u != v:
+                neighbours.setdefault(u, []).append((v, 0))
+                neighbours.setdefault(v, []).append((u, 1))
+        self._neighbours = neighbours
+        # states with a self-edge: no code covers itself strictly
+        self._loops = {u for u, v in active_edges if u == v}
+
+    def __call__(self, state: int, code: int, codes: Dict[int, int]) -> bool:
+        if state in self._loops:
+            return False
+        for other, side in self._neighbours.get(state, ()):
+            placed = codes.get(other)
+            if placed is None:
                 continue
-            if cv & ~cu or cu == cv:
+            high, low = (code, placed) if side == 0 else (placed, code)
+            if low & ~high or high == low:
                 return False
         return True
 
-    return check
+    def allowed(self, state: int, codes: Dict[int, int], k: int) -> int:
+        """The codes *state* may take, as a mask with bit c for code c
+        (-1, every code, when no placed neighbour restricts it)."""
+        if state in self._loops:
+            return 0
+        out = -1
+        for other, side in self._neighbours.get(state, ()):
+            code = codes.get(other)
+            if code is not None:
+                out &= _covering_mask(k, side, code)
+        return out
 
 
 def io_semiexact_code(
@@ -71,7 +110,7 @@ def io_semiexact_code(
 ) -> Optional[Encoding]:
     """semiexact_code with output-covering rejection (§6.2.1)."""
     return semiexact_code(sic, n, k, max_work=max_work,
-                          io_check=_edge_check(edges))
+                          io_check=_EdgeCheck(edges))
 
 
 def iohybrid_code(

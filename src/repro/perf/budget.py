@@ -95,12 +95,17 @@ class Budget:
     def charge(self, n: int = 1) -> None:
         """Consume *n* units; raise :class:`BudgetExhausted` when over.
 
-        The deadline is polled only every few hundred charges, so a
-        charging loop overruns the wall-clock limit by at most one
-        polling interval.
+        ``charge(n)`` behaves like *n* unit charges: it trips when the
+        work passes the cap, leaving ``work`` one past it as the tripping
+        unit charge would, and it polls the deadline when the work
+        crosses a multiple of the polling interval.  The deadline is
+        polled only every few hundred units, so a charging loop overruns
+        the wall-clock limit by at most one polling interval.
         """
-        self.work += n
-        if self.max_work is not None and self.work > self.max_work:
+        old = self.work
+        work = self.work = old + n
+        if self.max_work is not None and work > self.max_work:
+            self.work = max(old, self.max_work) + 1
             raise BudgetExhausted(
                 f"work limit {self.max_work} exceeded",
                 limit="work", work=self.work, max_work=self.max_work,
@@ -108,12 +113,12 @@ class Budget:
             )
         if (
             self.deadline is not None
-            and (self.work & _TIME_CHECK_MASK) == 0
+            and old | _TIME_CHECK_MASK < work
             and time.monotonic() > self.deadline
         ):
             raise BudgetExhausted(
                 "deadline exceeded",
-                limit="time", work=self.work, max_work=self.max_work,
+                limit="time", work=work, max_work=self.max_work,
                 stage=self.stage,
             )
 

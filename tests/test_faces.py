@@ -4,12 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
+from repro.constraints import faces as faces_mod
 from repro.constraints.faces import (
     Face,
     count_faces_of_level,
     faces_of_level,
+    level_pairs,
     min_level,
+    subface_pairs,
     subfaces,
+    vertex_mask,
 )
 
 
@@ -117,6 +121,57 @@ class TestEnumeration:
 
     def test_subfaces_level_too_high(self):
         assert list(subfaces(Face.from_str("1x"), 2)) == []
+
+
+def _regions(k: int):
+    """Every face (care, val) of the k-cube."""
+    for care in range(1 << k):
+        sub = care
+        while True:
+            yield care, sub
+            if not sub:
+                break
+            sub = (sub - 1) & care
+
+
+def _check_tables(k_max: int) -> None:
+    for k in range(k_max + 1):
+        for level in range(-1, k + 2):
+            assert list(level_pairs(k, level)) == [
+                (f.care, f.val) for f in faces_of_level(k, level)]
+        for care, val in _regions(k):
+            region = Face(k, care, val)
+            assert vertex_mask(k, care, val) == sum(
+                1 << c for c in region.vertices())
+            for low in range(k + 1):
+                want = [(f.care, f.val)
+                        for level in range(low, region.level + 1)
+                        for f in subfaces(region, level)]
+                assert list(subface_pairs(k, care, val, low)) == want
+
+
+class TestGeometryTables:
+    """The int tables the embedding search reads equal the Face
+    generators, in the same order."""
+
+    def test_tables_match_generators(self):
+        _check_tables(5)
+
+    def test_untabled_and_dropped_tables_match(self, monkeypatch):
+        # tables longer than TABLE_MAX are generated per use, and the
+        # tables are dropped once they pass TABLES_MAX_ENTRIES in all
+        monkeypatch.setattr(faces_mod, "_TABLES", {})
+        monkeypatch.setattr(faces_mod, "_table_entries", 0)
+        monkeypatch.setattr(faces_mod, "TABLE_MAX", 9)
+        monkeypatch.setattr(faces_mod, "TABLES_MAX_ENTRIES", 40)
+        _check_tables(4)
+        assert faces_mod._table_entries <= 40
+        assert all(len(t) <= 9 for t in faces_mod._TABLES.values())
+
+    def test_tables_are_kept(self):
+        assert level_pairs(4, 2) is level_pairs(4, 2)
+        assert subface_pairs(4, 0b0001, 0b0001, 1) is \
+            subface_pairs(4, 0b0001, 0b0001, 1)
 
 
 class TestMinLevel:

@@ -121,6 +121,23 @@ class TestIexact:
         else:
             assert enc is None or isinstance(enc, Encoding)
 
+    def test_sweep_work_cap_ends_the_sweep(self, monkeypatch):
+        """The sweep gives up once its calls' total work passes the
+        cap, after the same calls whatever the host's speed."""
+        from repro import perf
+        from repro.encoding import iexact
+
+        rng = random.Random(7)
+        masks = [rng.randrange(1, 1 << 12) for _ in range(14)]
+        cs = cs_from([m for m in masks if bin(m).count("1") > 1], 12)
+        with perf.collect() as stats:
+            assert iexact_code(cs, max_work=50, time_budget=None) is None
+        assert stats.pos_equiv_work > 1000  # the whole sweep
+        monkeypatch.setattr(iexact, "SWEEP_MAX_WORK", 120)
+        with perf.collect() as stats:
+            assert iexact_code(cs, max_work=50, time_budget=None) is None
+        assert stats.pos_equiv_work == 3 * 51  # three capped calls
+
     def test_time_exhaustion_raises_structured_error(self):
         from repro.errors import BudgetExhausted
 

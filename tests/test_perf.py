@@ -159,6 +159,58 @@ class TestBudget:
             for _ in range(512):
                 b.charge()
 
+    def test_bulk_charge_trips_where_unit_charges_do(self):
+        # a bulk charge past the cap leaves the counter where the
+        # tripping unit charge would, not at the overshoot
+        for cap in (0, 1, 7, 20_000):
+            for chunk in (1, 2, 3, 5, 64):
+                unit, bulk = Budget(work=cap), Budget(work=cap)
+                with pytest.raises(BudgetExceeded) as want:
+                    while True:
+                        unit.charge()
+                with pytest.raises(BudgetExceeded) as got:
+                    while True:
+                        bulk.charge(chunk)
+                assert bulk.work == unit.work == cap + 1
+                assert got.value.work == want.value.work == cap + 1
+        b = Budget(work=20_000)
+        b.charge(19_998)
+        with pytest.raises(BudgetExceeded):
+            b.charge(6)
+        assert b.work == 20_001
+
+    def test_bulk_charge_polls_the_deadline_like_unit_charges(
+            self, monkeypatch):
+        from types import SimpleNamespace
+
+        from repro.perf import budget as budget_mod
+
+        now = [0.0]
+        monkeypatch.setattr(budget_mod, "time",
+                            SimpleNamespace(monotonic=lambda: now[0]))
+        monkeypatch.setattr(budget_mod, "_TIME_CHECK_MASK", 3)
+
+        def raises(start: int, charges) -> bool:
+            now[0] = 0.0
+            b = Budget(deadline=10.0)
+            b.charge(start)
+            now[0] = 11.0  # past the deadline from here on
+            try:
+                for n in charges:
+                    b.charge(n)
+            except BudgetExceeded as exc:
+                assert exc.limit == "time"
+                return True
+            return False
+
+        for start in range(6):
+            for n in range(1, 12):
+                # a poll falls due exactly when the work crosses a
+                # multiple of 4, however the units are grouped
+                crossed = (start + n) // 4 > start // 4
+                assert raises(start, [1] * n) == crossed, (start, n)
+                assert raises(start, [n]) == crossed, (start, n)
+
     def test_sub_shares_deadline_not_work(self):
         parent = Budget(seconds=100.0, work=1)
         child = parent.sub(work=10)

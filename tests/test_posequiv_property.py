@@ -28,7 +28,7 @@ from repro.encoding.iexact import (
     mincube_dim,
     semiexact_code,
 )
-from repro.encoding.iohybrid import _edge_check
+from repro.encoding.iohybrid import _EdgeCheck
 from repro.logic import backend
 from repro.perf.budget import Budget, BudgetExceeded
 
@@ -286,7 +286,7 @@ def hooks(kind: str, seed: int, n: int):
     edges = [(rng.randrange(n), rng.randrange(n))
              for _ in range(rng.randrange(1, 2 * n))]
     edges = [(u, v) for u, v in edges if u != v or rng.random() < 0.05]
-    return reference_edge_check(edges), _edge_check(edges)
+    return reference_edge_check(edges), _EdgeCheck(edges)
 
 
 @given(st.integers(min_value=0, max_value=1_000_000))
@@ -319,6 +319,90 @@ def test_caps_tripping_in_the_vertex_phase(seed):
             assert got == (None, cap + 1)
 
 
+def random_edges(rng: random.Random, n: int) -> List[Tuple[int, int]]:
+    """Covering edges over *n* states, self-edges ``(u, u)`` among them."""
+    edges = [(rng.randrange(n), rng.randrange(n))
+             for _ in range(rng.randrange(1, 2 * n + 1))]
+    return [(u, v) for u, v in edges if u != v or rng.random() < 0.15]
+
+
+def test_edge_check_mask_equals_its_per_code_answers():
+    """``allowed`` sets a code's bit exactly when the edge-by-edge check
+    of the state's edges passes it: with self-edges, and with
+    neighbours that have no code."""
+    rng = random.Random(5)
+    for _ in range(300):
+        n = rng.randrange(1, 9)
+        k = rng.randrange(max(1, (n - 1).bit_length()), 5)
+        edges = random_edges(rng, n)
+        check = _EdgeCheck(edges)
+        for state in range(n):
+            want = reference_edge_check(
+                [(u, v) for u, v in edges if state in (u, v)])
+            others = [s for s in range(n) if s != state]
+            codes = {s: rng.randrange(1 << k)
+                     for s in rng.sample(others, rng.randrange(n))}
+            mask = check.allowed(state, codes, k)
+            for code in range(1 << k):
+                assert bool(mask >> code & 1) == want(state, code, codes) \
+                    == check(state, code, codes)
+
+
+@given(st.integers(min_value=0, max_value=1_000_000))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_edge_checked_search_matches_rescanning_search(seed):
+    """The mask form of iohybrid's hook, and the same hook called per
+    code, give the oracle's codes and work."""
+    rng = random.Random(seed)
+    ig = random_graph(rng)
+    k = mincube_dim(ig) + rng.randrange(2)
+    edges = random_edges(rng, ig.n)
+    max_work = rng.choice((30, 300, 3000, 20_000))
+    want = run(ReferencePosEquiv(ig, k, None, max_work,
+                                 reference_edge_check(edges)))
+    check = _EdgeCheck(edges)
+    assert run(_PosEquiv(ig, k, None, max_work, check)) == want
+    per_code = run(_PosEquiv(ig, k, None, max_work,
+                             lambda s, c, codes: check(s, c, codes)))
+    assert per_code == want
+
+
+@given(st.integers(min_value=0, max_value=1_000_000))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_caps_trip_at_the_oracles_work(seed):
+    """Every cap below a search's work trips where one charge per
+    candidate would: skipped codes are charged in bulk, by rank."""
+    ig, k, dimvect, _, kind, hook_seed = random_case(seed)
+    want_hook, got_hook = hooks(kind, hook_seed, ig.n)
+    _, total = run(ReferencePosEquiv(ig, k, dimvect, 20_000, want_hook))
+    rng = random.Random(seed)
+    for cap in {0, 1, total - 1, *rng.sample(range(1, total + 1),
+                                              min(total, 8))}:
+        if cap < 0:
+            continue
+        want_hook, got_hook = hooks(kind, hook_seed, ig.n)
+        want = run(ReferencePosEquiv(ig, k, dimvect, cap, want_hook))
+        got = run(_PosEquiv(ig, k, dimvect, cap, got_hook))
+        assert got == want
+        if cap < total:
+            assert got == (None, cap + 1)
+
+
+def test_plain_callable_hook():
+    """A hook with no mask form is called once per open code."""
+    calls = []
+
+    def veto(state: int, code: int, codes: Dict[int, int]) -> bool:
+        calls.append((state, code))
+        return not (state == 0 and code in (0, 1))
+
+    ig = InputGraph(4, [])
+    got = run(_PosEquiv(ig, 2, None, 1000, veto))
+    assert got == run(ReferencePosEquiv(ig, 2, None, 1000, veto))
+    assert got[0] is not None and got[0][0] not in (0, 1)
+    assert (0, 0) in calls and (0, 1) in calls
+
+
 def test_paper_example_same_codes_and_work():
     from tests.conftest import paper_constraint_masks
 
@@ -327,6 +411,23 @@ def test_paper_example_same_codes_and_work():
         want = run(ReferencePosEquiv(ig, k))
         assert run(_PosEquiv(ig, k)) == want
     assert want[0] is not None
+
+
+def test_level_vector_below_a_constraints_size():
+    # every face of a too-low level is charged and rejected, as the
+    # oracle's cardinality check does, with and without the first-face
+    # symmetry breaking
+    from tests.conftest import paper_constraint_masks
+
+    ig = InputGraph(7, paper_constraint_masks())
+    primaries = [p for p in ig.primaries() if p & (p - 1)]
+    for k in (3, 4):
+        for ic in primaries:
+            dimvect = {p: min_level(p.bit_count()) for p in primaries}
+            dimvect[ic] -= 1
+            want = run(ReferencePosEquiv(ig, k, dimvect, 5000))
+            assert run(_PosEquiv(ig, k, dimvect, 5000)) == want
+            assert want[0] is None and want[1] > 0
 
 
 def test_one_state_graph():

@@ -1,5 +1,7 @@
 """Tests for the input poset / input graph, against the paper's examples."""
 
+import random
+
 from repro.constraints.poset import InputGraph, closure_intersection
 
 from tests.conftest import paper_constraint_masks
@@ -109,3 +111,18 @@ class TestInputGraph:
         ig = InputGraph(3, [])
         assert (1 << 3) - 1 in ig.nodes
         assert len(ig.nodes) == 4  # universe + 3 singletons
+
+    def test_fathers_are_the_minimal_strict_supersets(self):
+        """The cardinality-ordered scan finds the fathers the definition
+        names, in increasing order."""
+        rng = random.Random(3)
+        for _ in range(200):
+            n = rng.randrange(1, 10)
+            masks = [rng.randrange(1, 1 << n)
+                     for _ in range(rng.randrange(n + 3))]
+            ig = InputGraph(n, masks)
+            for ic in ig.nodes:
+                supersets = [o for o in ig.nodes if o != ic and ic & ~o == 0]
+                want = sorted(s for s in supersets if not any(
+                    t != s and t & ~s == 0 for t in supersets))
+                assert ig.fathers[ic] == want

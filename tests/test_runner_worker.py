@@ -93,10 +93,12 @@ def test_spoiled_worker_is_not_reused(tmp_path, spoiler):
 
 
 def test_timeout_kill_is_not_reused(tmp_path):
-    """No fault involved: iexact on dk16 runs for far longer than the
-    hard deadline, so its (warm, reused) worker is SIGKILLed."""
+    """No fault involved: iexact on styr runs for far longer than the
+    hard deadline (about 15 s on a 2-vCPU host: its sweep ends at the
+    total work cap, then ihybrid runs), so its (warm, reused) worker is
+    SIGKILLed."""
     before = BatchTask(machine="lion", options={"cache": "off"})
-    slow = BatchTask(machine="dk16", algorithm="iexact",
+    slow = BatchTask(machine="styr", algorithm="iexact",
                      options={"cache": "off"})
     after = BatchTask(machine="dk27", options={"cache": "off"})
     tasks = [before, slow, after]
