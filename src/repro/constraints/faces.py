@@ -9,9 +9,9 @@ so the face contains ``2**level`` vertices — matching the paper's
 
 from __future__ import annotations
 
-from itertools import chain, combinations
+from itertools import combinations
 from math import comb
-from typing import Dict, Iterable, Iterator, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 #: a face as ``(care, val)`` ints, the form the embedding search uses
 Pair = Tuple[int, int]
@@ -144,8 +144,10 @@ def min_level(cardinality: int) -> int:
     return (cardinality - 1).bit_length()
 
 
-def _level_pairs(k: int, level: int) -> Iterator[Pair]:
-    """:func:`faces_of_level` as ``(care, val)`` pairs."""
+def level_pairs(k: int, level: int) -> Iterator[Pair]:
+    """:func:`faces_of_level` as ``(care, val)`` pairs, in its order."""
+    if level < 0 or level > k:
+        return
     full = (1 << k) - 1
     for free in combinations(range(k), level):
         care = full
@@ -177,15 +179,21 @@ def _subface_pairs(k: int, care: int, val: int, level: int
                 break
 
 
+def subface_pairs(k: int, care: int, val: int, low: int) -> Iterator[Pair]:
+    """Every subface of ``(care, val)`` from level *low* up to the face's
+    own, as ``(care, val)`` pairs: :func:`subfaces` level by level."""
+    top = k - care.bit_count()
+    for level in range(max(low, 0), top + 1):
+        yield from _subface_pairs(k, care, val, level)
+
+
 def faces_of_level(k: int, level: int) -> Iterator[Face]:
     """All faces of the k-cube with the given level, lexicographically.
 
     Generation mirrors NOVA's ``genface``: all placements of the x
     pattern, and for each placement all values of the care positions.
     """
-    if level < 0 or level > k:
-        return
-    for care, val in _level_pairs(k, level):
+    for care, val in level_pairs(k, level):
         yield Face(k, care, val)
 
 
@@ -199,65 +207,6 @@ def subfaces(face: Face, level: int) -> Iterator[Face]:
         return
     for care, val in _subface_pairs(face.k, face.care, face.val, level):
         yield Face(face.k, care, val)
-
-
-# ----------------------------------------------------------------------
-# geometry tables: the same faces as (care, val) int pairs
-# ----------------------------------------------------------------------
-#: a table longer than this is generated on every use instead of kept
-TABLE_MAX = 1 << 12
-#: pairs kept over all tables; a table that would pass it drops them
-TABLES_MAX_ENTRIES = 1 << 16
-
-_TABLES: Dict[Tuple[int, ...], Tuple[Pair, ...]] = {}
-_table_entries = 0
-
-
-def _keep(key: Tuple[int, ...], pairs: Iterator[Pair]) -> Tuple[Pair, ...]:
-    global _table_entries
-    table = tuple(pairs)
-    if _table_entries + len(table) > TABLES_MAX_ENTRIES:
-        _TABLES.clear()
-        _table_entries = 0
-    _TABLES[key] = table
-    _table_entries += len(table)
-    return table
-
-
-def level_pairs(k: int, level: int) -> Iterable[Pair]:
-    """:func:`faces_of_level` as ``(care, val)`` pairs, in its order.
-
-    The pairs come from a table keyed by ``(k, level)`` and built on
-    first use, unless the table would be longer than :data:`TABLE_MAX`.
-    """
-    table = _TABLES.get((k, level))
-    if table is not None:
-        return table
-    if level < 0 or level > k:
-        return ()
-    if count_faces_of_level(k, level) > TABLE_MAX:
-        return _level_pairs(k, level)
-    return _keep((k, level), _level_pairs(k, level))
-
-
-def subface_pairs(k: int, care: int, val: int, low: int) -> Iterable[Pair]:
-    """Every subface of ``(care, val)`` from level *low* up to the face's
-    own, as ``(care, val)`` pairs: :func:`subfaces` level by level.
-
-    Tabled per ``(k, care, val, low)`` like :func:`level_pairs`.
-    """
-    key = (k, care, val, low)
-    table = _TABLES.get(key)
-    if table is not None:
-        return table
-    top = k - care.bit_count()
-    levels = range(max(low, 0), top + 1)
-    pairs = chain.from_iterable(
-        _subface_pairs(k, care, val, level) for level in levels)
-    if sum(comb(top, level) << (top - level) for level in levels) \
-            > TABLE_MAX:
-        return pairs
-    return _keep(key, pairs)
 
 
 def vertex_mask(k: int, care: int, val: int) -> int:

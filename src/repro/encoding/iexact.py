@@ -17,9 +17,9 @@ The search keeps its state across assignments instead of rescanning
 it per step (DESIGN.md §6, item 16): readiness counts pick the next
 constraint node, per-state forbidden-vertex masks verify a state code
 with two bit tests, and once every constraint face is placed the codes
-are placed in a frozen MRV order.  Faces are ``(care, val)`` int pairs
-drawn from per-geometry tables.  It generates the same candidates in
-the same order and charges the budget once per candidate (the blocked
+are placed in a frozen MRV order.  Faces are ``(care, val)`` int
+pairs.  It generates the same candidates in the same order and
+charges the budget once per candidate (the blocked
 state codes in bulk), like the rescanning engine
 ``tests/test_posequiv_property.py`` keeps as its oracle, so encodings
 and ``max_work`` trip points do not depend on the bookkeeping.
@@ -36,7 +36,19 @@ from __future__ import annotations
 
 import bisect
 import itertools
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Protocol,
+    Set,
+    Tuple,
+    Union,
+    runtime_checkable,
+)
 
 from repro import perf
 from repro.constraints.faces import (
@@ -55,11 +67,19 @@ from repro.perf.budget import Budget, BudgetExceeded, tick
 
 # an io_check receives (state, proposed code, codes fixed so far) and may
 # veto the assignment -- used by io_semiexact_code to enforce output
-# covering constraints while the input search runs.  A hook that also
-# has an ``allowed(state, codes, k)`` method returning a mask of the
-# codes the state may take (bit c for code c) is asked once per state
-# placement instead of once per code.
+# covering constraints while the input search runs.
 IoCheck = Callable[[int, int, Dict[int, int]], bool]
+
+
+@runtime_checkable
+class MaskCheck(Protocol):
+    """An io_check in mask form, asked once per state placement."""
+
+    def allowed(self, state: int, codes: Dict[int, int], k: int) -> int:
+        """The codes *state* may take given *codes*: bit c for code c."""
+
+
+IoHook = Union[IoCheck, MaskCheck]
 
 # ----------------------------------------------------------------------
 # lower bounds on the cube dimension (§3.3.2)
@@ -148,7 +168,7 @@ class _PosEquiv:
     being rebuilt per search step: readiness counts of unplaced fathers,
     the singletons' MRV order, and per-state forbidden-vertex masks.
     Faces are ``(care, val)`` int pairs throughout; the candidates come
-    from the geometry tables of :mod:`repro.constraints.faces`.
+    from the pair generators of :mod:`repro.constraints.faces`.
     """
 
     def __init__(
@@ -157,7 +177,7 @@ class _PosEquiv:
         k: int,
         dimvect: Optional[Dict[int, int]] = None,
         max_work: Optional[int] = None,
-        io_check: Optional[IoCheck] = None,
+        io_check: Optional[IoHook] = None,
         budget: Optional[Budget] = None,
     ):
         self.ig = ig
@@ -167,7 +187,14 @@ class _PosEquiv:
         # wall-clock deadline inherited from the caller
         self.budget = budget.sub(work=max_work) if budget is not None \
             else Budget(work=max_work)
-        self.io_check = io_check
+        # a mask-form hook is asked once per state placement, a plain
+        # callable once per open code
+        self._allowed: Optional[Callable[[int, Dict[int, int], int], int]]
+        self.io_check: Optional[IoCheck]
+        if isinstance(io_check, MaskCheck):
+            self._allowed, self.io_check = io_check.allowed, None
+        else:
+            self._allowed, self.io_check = None, io_check
         # faces of the universe and the placed constraint nodes; the
         # singletons' vertex faces join once a solution is found
         self.enc: Dict[int, Pair] = {ig.universe: (0, 0)}
@@ -195,6 +222,7 @@ class _PosEquiv:
             low = min_level(ic.bit_count())
             primary = fathers[ic] == [universe]
             level = self.dimvect.get(ic, low) if primary else low
+            assert level >= low, "level vector below a constraint's size"
             self._level[ic] = level if primary else None
             self._low[ic] = low
             self._rank[ic] = (-level, not primary)
@@ -252,8 +280,8 @@ class _PosEquiv:
     def _verify(self, ic: int, face: Pair) -> bool:
         """Constraint-face check; no state has a code yet (see class).
 
-        A face too small for the constraint never gets here: such
-        candidates are charged and skipped by :meth:`_search`.
+        Candidates are never too small: their level is at least the
+        constraint's :func:`min_level`.
         """
         if face in self.used:
             return False  # injectivity
@@ -410,13 +438,6 @@ class _PosEquiv:
             return self._place_vertices()
         ic = self._select_next(lic)
         charge = self.budget.charge
-        level = self._level[ic]
-        if level is not None and level < self._low[ic]:
-            # a level vector below the constraint's size: every face is
-            # too small, and fails verification after its charge
-            for _ in self._candidate_faces(ic):
-                charge()
-            return False
         for face in self._candidate_faces(ic):
             charge()
             if not self._verify(ic, face):
@@ -451,9 +472,7 @@ class _PosEquiv:
         forbid = self._forbid
         width = self._width
         io_check = self.io_check
-        allowed = getattr(io_check, "allowed", None)
-        if allowed is not None:
-            io_check = None  # the mask replaces the per-code calls
+        allowed = self._allowed
         codes = self.codes
         charge = self.budget.charge
 
@@ -528,7 +547,7 @@ def pos_equiv(
     k: int,
     dimvect: Optional[Dict[int, int]] = None,
     max_work: Optional[int] = None,
-    io_check: Optional[IoCheck] = None,
+    io_check: Optional[IoHook] = None,
     budget: Optional[Budget] = None,
 ) -> Optional[Encoding]:
     """Decide restricted SUBPOSET EQUIVALENCE; return an encoding if any."""
@@ -613,7 +632,7 @@ def semiexact_code(
     n: int,
     k: int,
     max_work: int = 20_000,
-    io_check: Optional[IoCheck] = None,
+    io_check: Optional[IoHook] = None,
     budget: Optional[Budget] = None,
 ) -> Optional[Encoding]:
     """Bounded backtrack coding (§4.1): min-level faces, capped work."""

@@ -50,16 +50,15 @@ def _covering_mask(k: int, side: int, code: int) -> int:
 
 
 class _EdgeCheck:
-    """Veto hook enforcing covering edges among already-fixed codes.
+    """Hook enforcing covering edges among already-fixed codes.
 
     An edge ``(u, v)`` holds when ``u``'s code strictly covers ``v``'s.
     Only the edges incident to the state being placed are tested.  The
-    search starts with no codes and calls the hook once per placement,
+    search starts with no codes and asks the hook once per placement,
     so an edge whose endpoints both have codes already passed when its
-    later endpoint was placed.  Besides the per-code call, the hook
-    offers the mask form the search prefers: :meth:`allowed` gives
-    every code the state may take, from the strict superset and subset
-    masks of its neighbours' codes.
+    later endpoint was placed.  :meth:`allowed` gives every code the
+    state may take, from the strict superset and subset masks of its
+    neighbours' codes.
     """
 
     __slots__ = ("_neighbours", "_loops")
@@ -75,18 +74,6 @@ class _EdgeCheck:
         self._neighbours = neighbours
         # states with a self-edge: no code covers itself strictly
         self._loops = {u for u, v in active_edges if u == v}
-
-    def __call__(self, state: int, code: int, codes: Dict[int, int]) -> bool:
-        if state in self._loops:
-            return False
-        for other, side in self._neighbours.get(state, ()):
-            placed = codes.get(other)
-            if placed is None:
-                continue
-            high, low = (code, placed) if side == 0 else (placed, code)
-            if low & ~high or high == low:
-                return False
-        return True
 
     def allowed(self, state: int, codes: Dict[int, int], k: int) -> int:
         """The codes *state* may take, as a mask with bit c for code c

@@ -14,7 +14,7 @@ The kernels: ``cofactor`` and ``intersect_cube`` sweeps,
 ``contain_any`` and ``contained_mask`` containment scans,
 ``minterm_counts``, ``single_cube_containment``, ``var_profile`` (the
 URP per-variable profile), ``consensus_scan``, and the encoding-face
-checks ``face_members_ok`` and ``face_vertices``.  The sweeps test
+check ``face_members_ok``.  The sweeps test
 every binary field of a cube at once through
 :attr:`~repro.logic.cube.Format.binary_lo` and loop only over the
 multiple-valued fields.
@@ -225,17 +225,3 @@ def face_members_ok(states: Sequence[int], codes: Sequence[int],
             return False
     return True
 
-
-def face_vertices(k: int, care: int, val: int) -> List[int]:
-    """Sorted codes of the face's vertices."""
-    _count_kernel_call()
-    free = [i for i in range(k) if not (care >> i) & 1]
-    out = []
-    for bits in range(1 << len(free)):
-        code = val
-        for j, pos in enumerate(free):
-            if (bits >> j) & 1:
-                code |= 1 << pos
-        out.append(code)
-    out.sort()
-    return out

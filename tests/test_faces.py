@@ -1,10 +1,11 @@
 """Tests for the face algebra on the encoding k-cube."""
 
+from itertools import combinations
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
-from repro.constraints import faces as faces_mod
 from repro.constraints.faces import (
     Face,
     count_faces_of_level,
@@ -134,44 +135,52 @@ def _regions(k: int):
             sub = (sub - 1) & care
 
 
-def _check_tables(k_max: int) -> None:
-    for k in range(k_max + 1):
-        for level in range(-1, k + 2):
-            assert list(level_pairs(k, level)) == [
-                (f.care, f.val) for f in faces_of_level(k, level)]
-        for care, val in _regions(k):
-            region = Face(k, care, val)
-            assert vertex_mask(k, care, val) == sum(
-                1 << c for c in region.vertices())
-            for low in range(k + 1):
-                want = [(f.care, f.val)
-                        for level in range(low, region.level + 1)
-                        for f in subfaces(region, level)]
-                assert list(subface_pairs(k, care, val, low)) == want
+def _values(care: int, val: int, mask: int):
+    """(care | mask, val | sub) for each sub of mask, counted upwards."""
+    for sub in range(mask + 1):
+        if not sub & ~mask:
+            yield care | mask, val | sub
 
 
-class TestGeometryTables:
-    """The int tables the embedding search reads equal the Face
-    generators, in the same order."""
+def _level_faces(k: int, level: int):
+    """Faces of a level: each placement of the x positions, in
+    lexicographic order, then each value of the care positions."""
+    full = (1 << k) - 1
+    for free in combinations(range(k), level):
+        yield from _values(0, 0, full & ~sum(1 << p for p in free))
 
-    def test_tables_match_generators(self):
-        _check_tables(5)
 
-    def test_untabled_and_dropped_tables_match(self, monkeypatch):
-        # tables longer than TABLE_MAX are generated per use, and the
-        # tables are dropped once they pass TABLES_MAX_ENTRIES in all
-        monkeypatch.setattr(faces_mod, "_TABLES", {})
-        monkeypatch.setattr(faces_mod, "_table_entries", 0)
-        monkeypatch.setattr(faces_mod, "TABLE_MAX", 9)
-        monkeypatch.setattr(faces_mod, "TABLES_MAX_ENTRIES", 40)
-        _check_tables(4)
-        assert faces_mod._table_entries <= 40
-        assert all(len(t) <= 9 for t in faces_mod._TABLES.values())
+def _subfaces(k: int, care: int, val: int, level: int):
+    """Subfaces of a level: each placement of the newly fixed
+    positions, in lexicographic order, then each of their values."""
+    free = [p for p in range(k) if not (care >> p) & 1]
+    for fixed in combinations(free, len(free) - level):
+        yield from _values(care, val, sum(1 << p for p in fixed))
 
-    def test_tables_are_kept(self):
-        assert level_pairs(4, 2) is level_pairs(4, 2)
-        assert subface_pairs(4, 0b0001, 0b0001, 1) is \
-            subface_pairs(4, 0b0001, 0b0001, 1)
+
+class TestPairGenerators:
+    """The int pairs the embedding search reads, against a direct
+    enumeration in genface order."""
+
+    def test_level_pairs(self):
+        for k in range(6):
+            for level in range(-1, k + 2):
+                want = list(_level_faces(k, level)) \
+                    if 0 <= level <= k else []
+                assert list(level_pairs(k, level)) == want
+                assert [(f.care, f.val)
+                        for f in faces_of_level(k, level)] == want
+
+    def test_subface_pairs_and_vertex_mask(self):
+        for k in range(6):
+            for care, val in _regions(k):
+                top = k - care.bit_count()
+                assert vertex_mask(k, care, val) == sum(
+                    1 << c for c in Face(k, care, val).vertices())
+                for low in range(k + 1):
+                    want = [pair for level in range(low, top + 1)
+                            for pair in _subfaces(k, care, val, level)]
+                    assert list(subface_pairs(k, care, val, low)) == want
 
 
 class TestMinLevel:

@@ -19,6 +19,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import pytest
 
 from repro.constraints.faces import Face, faces_of_level, min_level, subfaces
 from repro.constraints.poset import InputGraph
@@ -167,8 +168,7 @@ class ReferencePosEquiv:
             return
         region = Face(self.k, masks[0], masks[1])
         if self._is_singleton(ic):
-            for code in backend.face_vertices(
-                    self.k, region.care, region.val):
+            for code in region.vertices():
                 yield Face.vertex(self.k, code)
             return
         if ig.category(ic) == 1:
@@ -326,7 +326,7 @@ def random_edges(rng: random.Random, n: int) -> List[Tuple[int, int]]:
     return [(u, v) for u, v in edges if u != v or rng.random() < 0.15]
 
 
-def test_edge_check_mask_equals_its_per_code_answers():
+def test_edge_check_mask_equals_the_edge_by_edge_check():
     """``allowed`` sets a code's bit exactly when the edge-by-edge check
     of the state's edges passes it: with self-edges, and with
     neighbours that have no code."""
@@ -344,27 +344,23 @@ def test_edge_check_mask_equals_its_per_code_answers():
                      for s in rng.sample(others, rng.randrange(n))}
             mask = check.allowed(state, codes, k)
             for code in range(1 << k):
-                assert bool(mask >> code & 1) == want(state, code, codes) \
-                    == check(state, code, codes)
+                assert bool(mask >> code & 1) == want(state, code, codes)
 
 
 @given(st.integers(min_value=0, max_value=1_000_000))
 @settings(max_examples=150, deadline=None, derandomize=True)
 def test_edge_checked_search_matches_rescanning_search(seed):
-    """The mask form of iohybrid's hook, and the same hook called per
-    code, give the oracle's codes and work."""
+    """iohybrid's hook in mask form, and the edge-by-edge check called
+    per code, give the oracle's codes and work."""
     rng = random.Random(seed)
     ig = random_graph(rng)
     k = mincube_dim(ig) + rng.randrange(2)
     edges = random_edges(rng, ig.n)
     max_work = rng.choice((30, 300, 3000, 20_000))
-    want = run(ReferencePosEquiv(ig, k, None, max_work,
-                                 reference_edge_check(edges)))
-    check = _EdgeCheck(edges)
+    check = reference_edge_check(edges)
+    want = run(ReferencePosEquiv(ig, k, None, max_work, check))
+    assert run(_PosEquiv(ig, k, None, max_work, _EdgeCheck(edges))) == want
     assert run(_PosEquiv(ig, k, None, max_work, check)) == want
-    per_code = run(_PosEquiv(ig, k, None, max_work,
-                             lambda s, c, codes: check(s, c, codes)))
-    assert per_code == want
 
 
 @given(st.integers(min_value=0, max_value=1_000_000))
@@ -413,21 +409,16 @@ def test_paper_example_same_codes_and_work():
     assert want[0] is not None
 
 
-def test_level_vector_below_a_constraints_size():
-    # every face of a too-low level is charged and rejected, as the
-    # oracle's cardinality check does, with and without the first-face
-    # symmetry breaking
+def test_level_vector_below_a_constraints_size_is_rejected():
+    # _level_vectors starts every range at the constraint's min_level
     from tests.conftest import paper_constraint_masks
 
     ig = InputGraph(7, paper_constraint_masks())
     primaries = [p for p in ig.primaries() if p & (p - 1)]
-    for k in (3, 4):
-        for ic in primaries:
-            dimvect = {p: min_level(p.bit_count()) for p in primaries}
-            dimvect[ic] -= 1
-            want = run(ReferencePosEquiv(ig, k, dimvect, 5000))
-            assert run(_PosEquiv(ig, k, dimvect, 5000)) == want
-            assert want[0] is None and want[1] > 0
+    dimvect = {p: min_level(p.bit_count()) for p in primaries}
+    dimvect[primaries[0]] -= 1
+    with pytest.raises(AssertionError):
+        _PosEquiv(ig, 3, dimvect)
 
 
 def test_one_state_graph():

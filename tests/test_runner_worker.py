@@ -93,13 +93,12 @@ def test_spoiled_worker_is_not_reused(tmp_path, spoiler):
 
 
 def test_timeout_kill_is_not_reused(tmp_path):
-    """No fault involved: iexact on styr runs for far longer than the
-    hard deadline (about 15 s on a 2-vCPU host: its sweep ends at the
-    total work cap, then ihybrid runs), so its (warm, reused) worker is
-    SIGKILLed."""
+    """A planted sleep outlasts the hard deadline on any host, so the
+    (warm, reused) worker running it is SIGKILLed mid-attempt."""
     before = BatchTask(machine="lion", options={"cache": "off"})
-    slow = BatchTask(machine="styr", algorithm="iexact",
-                     options={"cache": "off"})
+    hang = Fault("encode", action="sleep", seconds=60).to_dict()
+    slow = BatchTask(machine="train4", options={"cache": "off"},
+                     faults=[hang])
     after = BatchTask(machine="dk27", options={"cache": "off"})
     tasks = [before, slow, after]
     report = _run(tasks, tmp_path / "run", task_timeout=5.0)
