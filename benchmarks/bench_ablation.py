@@ -10,18 +10,22 @@
   popularity tie-break is visible through the satisfied weight).
 * **code length sweep** — the code-length/area trade-off of Table II:
   minimum bits vs minimum+1 vs minimum+2 for ihybrid.
+
+The ablations run on the paper30 machines of the quick ``small`` subset.
+``repro.eval.claims`` reads the iovariant report's CSV.
 """
 
 import pytest
 
+from repro.bench.discover import subset_names
 from repro.encoding.nova import encode_fsm
 from repro.fsm.benchmarks import benchmark as get_machine
 from repro.fsm.benchmarks import is_low_effort
 from repro.fsm.machine import minimum_code_length
 
-from conftest import note, record, subset_names
+from conftest import note, record
 
-NAMES = subset_names("paper30")
+NAMES = subset_names("paper30", "small")
 _io_rows = []
 
 

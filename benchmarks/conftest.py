@@ -1,116 +1,29 @@
-"""Shared infrastructure for the table/figure regeneration benchmarks.
+"""Shared infrastructure for the substrate and ablation benchmarks.
 
-Each ``bench_table*.py`` regenerates one table of the paper: every
-benchmarked unit computes one row, rows accumulate per table, and at
-session teardown the formatted tables are printed and written to
-``benchmarks/results/``.  EXPERIMENTS.md records a full run.
-
-The machine subset defaults to the quick ``small`` set; set
-``NOVA_BENCH_SET=paper30`` (or ``table5`` / ``table7`` / ``all``) for
-the full paper protocol.
-
-Parallelism: ``NOVA_BENCH_JOBS=N`` (N > 1) computes each table's rows
-up front through the crash-safe batch runner — one isolated worker
-process per row, hard ``NOVA_BENCH_TASK_TIMEOUT``-second kills (default
-900), one retry — and the per-row provenance journal lands in
-``benchmarks/results/runs/table<N>/results.jsonl``.  The default
-``NOVA_BENCH_JOBS=1`` keeps the historical serial in-process path, so
-pytest-benchmark timings still measure the row computation itself.
+Tests ``record()`` rows under a report name and ``note()`` free-text
+lines under it; at session teardown each report is printed and written
+to ``benchmarks/results/<name>.{txt,md,csv}``.  The paper's tables are
+regenerated by ``nova table N``, not here.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from pathlib import Path
-import shutil
-from typing import Callable, Dict, List, Sequence
+from typing import Dict, List
 
 import pytest
 
 from repro import perf
-from repro.bench import discover
 from repro.eval.tables import format_table
 
-SUBSET = discover.bench_subset()
-JOBS = discover.bench_jobs()
-TASK_TIMEOUT = discover.task_timeout()
 RESULTS_DIR = Path(__file__).parent / "results"
-
-# substrate counters appended to every recorded row (compact names keep
-# the fixed-width reports readable); totals since the test started, so
-# multi-round pytest-benchmark runs accumulate across rounds
-PERF_ROW_COUNTERS = {
-    "taut": "tautology_calls",
-    "urp_rec": "urp_recursions",
-    "memo_hit": "contains_memo_hits",
-    "exp_raise": "expand_raises",
-    "pe_work": "pos_equiv_work",
-}
 
 _tables: Dict[str, List[dict]] = defaultdict(list)
 _notes: Dict[str, List[str]] = defaultdict(list)
 
 
-def subset_names(table: str = "paper30") -> List[str]:
-    """Machines to run (delegates to :mod:`repro.bench.discover`)."""
-    return discover.subset_names(table, subset=SUBSET)
-
-
-_batch_rows: Dict[int, Dict[str, dict]] = {}
-
-
-def table_row(table_num: int, name: str, row_fn: Callable[[str], dict],
-              names: Sequence[str]) -> dict:
-    """One table row — serial, or prefetched in parallel by the runner.
-
-    With ``NOVA_BENCH_JOBS<=1`` this is exactly ``row_fn(name)``.  With
-    more jobs, the first call fans the whole table (*names*) out over
-    the batch runner and every later call is a journal lookup, so the
-    table is reproduced in parallel with per-row provenance.
-    """
-    if JOBS <= 1:
-        return row_fn(name)
-    if table_num not in _batch_rows:
-        _batch_rows[table_num] = _run_table_batch(table_num, list(names))
-    return _batch_rows[table_num][name]
-
-
-def _run_table_batch(table_num: int, names: List[str]) -> Dict[str, dict]:
-    from repro.runner import BatchRunner, BatchTask
-
-    run_dir = RESULTS_DIR / "runs" / f"table{table_num}"
-    if run_dir.exists():  # provenance of the *current* run only
-        shutil.rmtree(run_dir)
-    tasks = [BatchTask(machine=n, kind="table", table=table_num)
-             for n in names]
-    report = BatchRunner(tasks, run_dir, jobs=JOBS,
-                         task_timeout=TASK_TIMEOUT, retries=1).run()
-    rows = {}
-    for e in report.entries:
-        if not e.get("record"):
-            continue
-        row = e["record"]["row"]
-        # the substrate counters were collected *inside* the worker;
-        # fold them into the row exactly as record() would in-process
-        worker_stats = e.get("perf") or {}
-        for col, counter in PERF_ROW_COUNTERS.items():
-            row.setdefault(col, worker_stats.get(counter, 0))
-        rows[e["machine"]] = row
-    missing = [n for n in names if n not in rows]
-    if missing:
-        failures = {e["machine"]: (e.get("error") or {}).get("rendered")
-                    for e in report.entries if e["status"] == "failed"}
-        raise RuntimeError(
-            f"table{table_num} batch left rows incomplete: {missing}; "
-            f"failures: {failures}; journal: {run_dir / 'results.jsonl'}")
-    return rows
-
-
 def record(table: str, row: dict) -> None:
-    stats = perf.STATS
-    if stats is not None:
-        for col, counter in PERF_ROW_COUNTERS.items():
-            row.setdefault(col, getattr(stats, counter))
     _tables[table].append(row)
 
 
@@ -122,9 +35,8 @@ def note(table: str, text: str) -> None:
 def _perf_counters(request):
     """Collect substrate counters per benchmark test.
 
-    ``record()`` reads the live stats when called inside the test; at
-    teardown the full counter set lands in ``benchmark.extra_info`` so
-    the pytest-benchmark JSON carries it too.
+    At teardown the full counter set lands in ``benchmark.extra_info``
+    so the pytest-benchmark JSON carries it.
     """
     bench = request.getfixturevalue("benchmark") \
         if "benchmark" in request.fixturenames else None
@@ -143,12 +55,12 @@ def _write_reports():
 
     RESULTS_DIR.mkdir(exist_ok=True)
     for table, rows in sorted(_tables.items()):
-        text = format_table(rows, title=f"{table} (subset={SUBSET})")
+        text = format_table(rows, title=table)
         for extra in _notes.get(table, []):
             text += "\n" + extra
         path = RESULTS_DIR / f"{table}.txt"
         path.write_text(text + "\n")
-        md = to_markdown(rows, title=f"{table} (subset={SUBSET})")
+        md = to_markdown(rows, title=table)
         for extra in _notes.get(table, []):
             md += f"\n> {extra}\n"
         (RESULTS_DIR / f"{table}.md").write_text(md)

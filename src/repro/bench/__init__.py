@@ -10,8 +10,8 @@ Layers, bottom up:
   consumer of timing data, plus environment capture.
 * :mod:`repro.bench.spec` — :class:`~repro.bench.spec.SweepSpec`, the
   declarative suite definition (JSON/TOML loadable).
-* :mod:`repro.bench.discover` — machine-set and parallelism selection
-  shared by the pytest harness, ``nova table`` and the sweeps.
+* :mod:`repro.bench.discover` — the machines and the row timeout of
+  ``nova table``.
 * :mod:`repro.bench.sweep` — compiles a spec onto the batch runner and
   folds the journal back into one record.
 * :mod:`repro.bench.trajectory` — the append-only

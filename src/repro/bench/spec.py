@@ -12,9 +12,9 @@ into a sweep.
 The spec deliberately reuses the vocabulary of the batch runner and the
 table harness: ``kind="encode"`` units become
 :class:`~repro.runner.batch.BatchTask` encode tasks, ``kind="table"``
-units become table-row tasks, and ``subset`` names the same machine
-sets (``small`` / ``paper30`` / ``table5`` / ``table7`` / ``all``) the
-``NOVA_BENCH_SET`` harness uses — compilation onto the runner lives in
+units become table-row tasks, and ``subset`` names one of the builtin
+machine sets (``small`` / ``paper30`` / ``table5`` / ``table7`` /
+``all``) — compilation onto the runner lives in
 :mod:`repro.bench.sweep`.
 """
 
@@ -47,12 +47,11 @@ class SweepSpec:
     """One named benchmark suite: what to run and how to time it.
 
     ``machines`` lists units explicitly; ``subset`` names a benchmark
-    set (resolved at compile time through
-    :func:`repro.bench.discover.subset_names`, which intersects it with
-    the active ``NOVA_BENCH_SET`` slice).  Exactly one of the two must
-    be given.  ``cache`` defaults to ``"off"`` — a timing sweep that
-    silently hits the encode cache measures a dict lookup, not the
-    algorithm; specs must opt *in* to cached timing.
+    set, which compiles to every machine of
+    :func:`~repro.fsm.benchmarks.benchmark_names`.  Exactly one of the
+    two must be given.  ``cache`` defaults to ``"off"`` — a timing
+    sweep that silently hits the encode cache measures a dict lookup,
+    not the algorithm; specs must opt *in* to cached timing.
     """
 
     name: str

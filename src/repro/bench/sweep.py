@@ -32,10 +32,11 @@ import os
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
-from repro.bench import discover
+from repro import config as config_mod
 from repro.bench.record import BenchRecord, capture_environment
 from repro.bench.spec import SweepSpec
 from repro.bench.timing import summarize
+from repro.fsm.benchmarks import benchmark_names
 from repro.runner.batch import BatchRunner, BatchTask
 
 __all__ = [
@@ -125,7 +126,7 @@ def run_sweep(
     if repeats is not None:
         spec = spec.replace(repeats=repeats)
     machines = (list(spec.machines) if spec.machines
-                else discover.subset_names(spec.subset))
+                else benchmark_names(spec.subset))
     dropped_machines = 0
     if limit is not None and limit < len(machines):
         dropped_machines = len(machines) - limit
@@ -134,7 +135,7 @@ def run_sweep(
             progress(f"{spec.name}: --limit {limit} dropped "
                      f"{dropped_machines} machine(s)")
     tasks = compile_tasks(spec, machines)
-    width = discover.bench_jobs() if jobs is None else max(1, int(jobs))
+    width = config_mod.bench_jobs() if jobs is None else max(1, int(jobs))
 
     factory = BatchRunner if runner_factory is None else runner_factory
     env_cache = (spec.kind == "table" and spec.cache != "auto")

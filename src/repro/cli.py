@@ -79,38 +79,37 @@ def _cmd_encode(args: argparse.Namespace) -> int:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
+    """One paper table: a batch-runner row task per machine."""
+    import tempfile
+
+    from repro import config, perf
+    from repro.bench.discover import DEFAULT_TASK_TIMEOUT, subset_names
     from repro.eval import tables
+    from repro.runner import BatchRunner, BatchTask
 
-    names = benchmark_names(args.subset)
     n = args.number
-    if n == 1:
-        rows = tables.table1_rows(args.subset)
-    else:
-        row_fn = {
-            2: tables.table2_row,
-            3: tables.table3_row,
-            4: tables.table4_row,
-            5: tables.table5_row,
-            6: tables.table6_row,
-            7: tables.table7_row,
-        }.get(n)
-        if row_fn is None:
-            print(f"error: no table {n}", file=sys.stderr)
-            return 2
-        if n == 5:
-            # table 5 has its own machine set; slice it by the chosen
-            # subset the same way the pytest harness does
-            from repro.bench.discover import subset_names
-
-            names = subset_names("table5", subset=args.subset)
-        rows = []
-        for name in names:
-            try:
-                rows.append(row_fn(name))
-                print(f"  done {name}", file=sys.stderr)
-            except Exception as exc:  # keep sweeping; report at the end
-                print(f"  FAILED {name}: {exc}", file=sys.stderr)
-    print(tables.format_table(rows, title=f"Table {n} ({args.subset})"))
+    if n not in tables.TABLE_SETS:
+        print(f"error: no table {n}", file=sys.stderr)
+        return 2
+    names = subset_names(tables.TABLE_SETS[n], args.subset)
+    tasks = [BatchTask(machine=name, kind="table", table=n)
+             for name in names]
+    with tempfile.TemporaryDirectory(prefix=f"nova-table{n}-") as run_dir:
+        report = BatchRunner(
+            tasks, run_dir, jobs=config.bench_jobs(),
+            task_timeout=DEFAULT_TASK_TIMEOUT, retries=0,
+            progress=lambda line: print(f"  {line}", file=sys.stderr),
+        ).run()
+    if perf.STATS is not None:  # --stats: the rows ran in the workers
+        perf.STATS.merge(report.perf.as_dict())
+    rows = {row["example"]: row for row in report.rows()}
+    failed = [name for name in names if name not in rows]
+    if failed:
+        print(f"error: table {n}: no row for {', '.join(failed)}",
+              file=sys.stderr)
+        return 1
+    print(tables.format_table([rows[name] for name in names],
+                              title=f"Table {n} ({args.subset})"))
     return 0
 
 
@@ -652,10 +651,17 @@ def main(argv: Optional[List[str]] = None) -> int:
                           "disables lookups and fills")
     enc.set_defaults(func=_cmd_encode)
 
-    tab = sub.add_parser("table", help="regenerate a paper table")
+    tab = sub.add_parser(
+        "table", help="regenerate a paper table",
+        description="Run one row task per machine on the batch runner "
+                    "(NOVA_BENCH_JOBS workers, 900 s hard kill per row) "
+                    "and print the table; exits 1 naming any row that "
+                    "failed.")
     tab.add_argument("number", type=int)
     tab.add_argument("--subset", default="small",
-                     choices=("small", "paper30", "table5", "table7", "all"))
+                     choices=("small", "paper30", "table5", "table7", "all"),
+                     help="intersected with the table's own machine set, "
+                          "in paper order; 'all' is the full protocol")
     tab.set_defaults(func=_cmd_table)
 
     bat = sub.add_parser(

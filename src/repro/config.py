@@ -51,8 +51,6 @@ __all__ = [
     "ENV_VARS",
     "RuntimeConfig",
     "bench_jobs",
-    "bench_set",
-    "bench_task_timeout",
     "cache_dir",
     "cache_max_bytes",
     "cache_policy",
@@ -78,8 +76,6 @@ ENV_VARS: Dict[str, str] = {
     "cache_max_bytes": "NOVA_CACHE_MAX_BYTES",
     "perf": "NOVA_PERF",
     "bench_jobs": "NOVA_BENCH_JOBS",
-    "bench_set": "NOVA_BENCH_SET",
-    "bench_task_timeout": "NOVA_BENCH_TASK_TIMEOUT",
     "sanitize": "NOVA_SANITIZE",
 }
 
@@ -107,13 +103,8 @@ class RuntimeConfig:
     perf:
         Whether a process-global perf collector starts installed.
     bench_jobs:
-        Worker-process parallelism for benchmark sweeps.
-    bench_set:
-        Active benchmark quick-slice name (``small``, ``paper30``, ...),
-        or ``None`` for the harness default.
-    bench_task_timeout:
-        Per-attempt hard-kill seconds for benchmark rows, or ``None``
-        for the harness default.
+        Worker-process parallelism for ``nova table`` and benchmark
+        sweeps.
     sanitize:
         Whether the crash-consistency sanitizer
         (:mod:`repro.testing.sanitize`) arms itself in test runs.
@@ -124,8 +115,6 @@ class RuntimeConfig:
     cache_max_bytes: int = DEFAULT_CACHE_MAX_BYTES
     perf: bool = False
     bench_jobs: int = 1
-    bench_set: Optional[str] = None
-    bench_task_timeout: Optional[float] = None
     sanitize: bool = False
 
     def __post_init__(self) -> None:
@@ -148,18 +137,6 @@ class RuntimeConfig:
             raise ValueError(
                 f"RuntimeConfig.cache_dir must be a path string or None, "
                 f"got {self.cache_dir!r}")
-        if self.bench_set is not None \
-                and not isinstance(self.bench_set, str):
-            raise ValueError(
-                f"RuntimeConfig.bench_set must be a slice name string or "
-                f"None, got {self.bench_set!r}")
-        if self.bench_task_timeout is not None and (
-                not isinstance(self.bench_task_timeout, (int, float))
-                or isinstance(self.bench_task_timeout, bool)
-                or self.bench_task_timeout <= 0):
-            raise ValueError(
-                f"RuntimeConfig.bench_task_timeout must be positive "
-                f"seconds or None, got {self.bench_task_timeout!r}")
         if not isinstance(self.sanitize, bool):
             raise ValueError(
                 f"RuntimeConfig.sanitize must be a bool, "
@@ -246,38 +223,19 @@ def _parse_dir(raw: str, source: str) -> Optional[str]:
     return raw or None
 
 
-def _parse_bench_set(raw: str, source: str) -> str:
-    return raw.strip()
-
-
-def _parse_task_timeout(raw: str, source: str) -> float:
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ValueError(
-            f"unrecognized {source} value {raw!r}: expected seconds "
-            f"as a number") from None
-    if value <= 0:
-        raise ValueError(f"{source} must be positive, got {raw!r}")
-    return value
-
-
 _ENV_PARSERS: Dict[str, Callable[[str, str], Any]] = {
     "cache": _parse_cache,
     "cache_dir": _parse_dir,
     "cache_max_bytes": _parse_max_bytes,
     "perf": _parse_bool,
     "bench_jobs": _parse_jobs,
-    "bench_set": _parse_bench_set,
-    "bench_task_timeout": _parse_task_timeout,
     "sanitize": _parse_bool,
 }
 
 # Blank-counts-as-unset applies to every variable except NOVA_CACHE_DIR,
 # where the empty string already meant "use the default" historically.
 _BLANK_IS_UNSET = frozenset(
-    {"cache", "perf", "bench_jobs", "cache_max_bytes",
-     "bench_set", "bench_task_timeout", "sanitize"})
+    {"cache", "perf", "bench_jobs", "cache_max_bytes", "sanitize"})
 
 
 # ----------------------------------------------------------------------
@@ -492,20 +450,8 @@ def perf_enabled() -> bool:
 
 
 def bench_jobs() -> int:
-    """Worker-process parallelism for benchmark sweeps."""
+    """Worker-process parallelism for ``nova table`` and sweeps."""
     return int(_resolve("bench_jobs"))
-
-
-def bench_set() -> Optional[str]:
-    """Active benchmark quick-slice name, or ``None`` when unset."""
-    value = _resolve("bench_set")
-    return value if value else None
-
-
-def bench_task_timeout() -> Optional[float]:
-    """Per-attempt hard-kill seconds, or ``None`` when unset."""
-    value = _resolve("bench_task_timeout")
-    return float(value) if value is not None else None
 
 
 def sanitize_enabled() -> bool:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
-from typing import Dict, Optional, Sequence
+from typing import Dict, Sequence
 
 
 def to_markdown(rows: Sequence[Dict], title: str = "",
@@ -50,16 +50,3 @@ def to_csv(rows: Sequence[Dict]) -> str:
                          for k in keys})
     return buf.getvalue()
 
-
-def ratio_summary(rows: Sequence[Dict], num_key: str, den_key: str,
-                  label: Optional[str] = None) -> str:
-    """One-line total-ratio summary, as the paper's TOTAL/% rows."""
-    usable = [r for r in rows
-              if r.get(num_key) is not None and r.get(den_key)]
-    if not usable:
-        return f"{label or num_key}/{den_key}: n/a"
-    num = sum(r[num_key] for r in usable)
-    den = sum(r[den_key] for r in usable)
-    pct = 100.0 * num / den
-    return (f"{label or num_key + '/' + den_key}: {num}/{den} = "
-            f"{pct:.0f}% over {len(usable)} machines")

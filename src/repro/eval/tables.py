@@ -1,9 +1,10 @@
-"""Experiment harness: one function per table/figure of the paper.
+"""Experiment harness: one row function per table of the paper.
 
-Every benchmark under ``benchmarks/`` calls into this module, so the
-exact numbers behind EXPERIMENTS.md can also be regenerated from Python
-or the ``nova`` CLI.  Rows are plain dicts (easy to print and assert
-on); formatting lives in :func:`format_table`.
+``nova table N`` runs ``tableN_row`` once per machine of
+:data:`TABLE_SETS` ``[N]`` and prints the rows with
+:func:`format_table`; ``benchmarks/results/paper30/`` holds that output
+and :func:`parse_table` reads it back (see :mod:`repro.eval.claims`).
+Rows are plain dicts (easy to print and assert on).
 
 Each row function (and :func:`random_columns`) runs inside one
 :func:`~repro.encoding.nova.shared_stages` block: the paper derives a
@@ -21,7 +22,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.baselines.mustang import MUSTANG_OPTIONS
 from repro.encoding.nova import NovaResult, encode_fsm, shared_stages
 from repro.eval.multilevel import multilevel_literals
-from repro.fsm.benchmarks import benchmark, benchmark_names, is_low_effort
+from repro.fsm.benchmarks import benchmark, is_low_effort
 from repro.fsm.machine import minimum_code_length
 
 # Table V's comparison column: Cappuccino/Cream is not available, so the
@@ -49,6 +50,11 @@ CAPPUCCINO = {
     "dk27": (3, 9, 120),
     "dk512": (7, 22, 573),
 }
+
+
+#: The machine set each table runs over, in the paper's row order.
+TABLE_SETS = {1: "paper30", 2: "paper30", 3: "paper30", 4: "paper30",
+              5: "table5", 6: "paper30", 7: "table7"}
 
 
 def _effort(name: str) -> str:
@@ -91,15 +97,11 @@ def random_columns(
 # ----------------------------------------------------------------------
 # tables
 # ----------------------------------------------------------------------
-def table1_rows(subset: str = "paper30") -> List[Dict]:
+def table1_row(name: str) -> Dict:
     """Table I: benchmark statistics."""
-    rows = []
-    for name in benchmark_names(subset):
-        fsm = benchmark(name)
-        row = {"example": name}
-        row.update(fsm.stats())
-        rows.append(row)
-    return rows
+    row: Dict = {"example": name}
+    row.update(benchmark(name).stats())
+    return row
 
 
 @shared_stages()
@@ -262,6 +264,36 @@ def format_table(rows: Sequence[Dict], title: str = "") -> str:
         lines.append("  ".join(str(r.get(k, "-")).ljust(widths[k])
                                for k in keys))
     return "\n".join(lines)
+
+
+def _cell(text: str):
+    if text == "None":
+        return None
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
+
+
+def parse_table(text: str) -> List[Dict]:
+    """The rows of an untitled :func:`format_table` rendering.
+
+    Cells are split on whitespace (no cell of a table row holds a
+    space) and read back as ``None``, ``int``, ``float`` or ``str``;
+    a ``-`` cell is a key the row did not have.
+    """
+    lines = text.splitlines()
+    keys = lines[0].split()
+    rows = []
+    for line in lines[1:]:
+        cells = line.split()
+        if len(cells) != len(keys):
+            raise ValueError(f"table row has {len(cells)} cells for "
+                             f"{len(keys)} columns: {line!r}")
+        rows.append({k: _cell(c) for k, c in zip(keys, cells) if c != "-"})
+    return rows
 
 
 def totals(rows: Sequence[Dict], keys: Sequence[str]) -> Dict[str, float]:

@@ -3,9 +3,8 @@
 from repro import config
 
 
-def active_slice():
-    value = config.bench_set()
-    return value if value is not None else "small"
+def sweep_width():
+    return config.bench_jobs()
 
 
 def cache_policy():

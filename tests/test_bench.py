@@ -474,6 +474,19 @@ class TestRunSweep:
         # ...and the caller's environment came back untouched
         assert os.environ["NOVA_CACHE"] == "on"
 
+    @pytest.mark.parametrize("subset", ["small", "paper30", "table7"])
+    def test_subset_spec_runs_the_whole_set(self, tmp_path, monkeypatch,
+                                            subset):
+        # no slice from the environment or the config narrows a named
+        # subset: the spec runs exactly the set it names
+        from repro.fsm.benchmarks import benchmark_names
+        monkeypatch.setenv("NOVA_BENCH_SET", "small")
+        spec = SweepSpec(name="s", subset=subset, repeats=1, warmup=0)
+        rec = run_sweep(spec, tmp_path / "run", runner_factory=factory())
+        machines = [t.machine for t in FakeRunner.instances[0].tasks]
+        assert machines == benchmark_names(subset)
+        assert rec.spec["machines"] == benchmark_names(subset)
+
 
 # ----------------------------------------------------------------------
 # the CLI: exit codes are the CI contract

@@ -178,8 +178,10 @@ class TestFileLayer:
         assert cfg.cache == "off" and cfg.bench_jobs == 5
 
     def test_unknown_keys_rejected(self, tmp_path, monkeypatch):
-        # a typo, and a key that named the removed cover-kernel backend
-        for body in ({"cache_polcy": "off"}, {"substrate": "python"}):
+        # a typo, a key that named the removed cover-kernel backend, and
+        # the removed benchmark slice and row-timeout fields
+        for body in ({"cache_polcy": "off"}, {"substrate": "python"},
+                     {"bench_set": "small"}, {"bench_task_timeout": 60}):
             (key,) = body
             write_config(tmp_path, monkeypatch, body, name=f"{key}.json")
             with pytest.raises(ValueError, match=f"unknown.*{key}"):
@@ -296,10 +298,27 @@ class TestConsumers:
         with config_scope(cache="off"):
             assert resolve_policy("on") == "on"
 
-    def test_bench_discover_uses_config(self):
-        from repro.bench import discover
+    def test_bench_discover_uses_config(self, tmp_path):
+        # a sweep without --jobs runs as wide as the config's bench_jobs
+        from repro.bench import SweepSpec, run_sweep
+
+        widths = []
+
+        class Report:
+            entries = [{"task": "a/ihybrid@r0", "status": "ok",
+                        "record": {"seconds": 1.0}}]
+
+        class Runner:
+            def __init__(self, tasks, run_dir, jobs, **kwargs):
+                widths.append(jobs)
+
+            def run(self):
+                return Report()
+
+        spec = SweepSpec(name="s", machines=("a",), repeats=1, warmup=0)
         with config_scope(bench_jobs=7):
-            assert discover.bench_jobs() == 7
+            rec = run_sweep(spec, tmp_path / "run", runner_factory=Runner)
+        assert widths == [7] and rec.spec["jobs"] == 7
 
     def test_perf_enabled_routes_through_config(self):
         with config_scope(perf=True):

@@ -354,19 +354,19 @@ class TestSelfCheck:
         assert hits[0].line >= 1
 
     def test_direct_env_read_is_caught(self, tmp_path):
-        source = (REPO_SRC / "bench" / "discover.py").read_text()
-        needle = "value = config_mod.bench_set()"
+        source = (REPO_SRC / "bench" / "sweep.py").read_text()
+        needle = "config_mod.bench_jobs()"
         assert needle in source
         broken = source.replace(
-            needle, 'value = os.environ.get("NOVA_BENCH_SET")', 1)
-        target = tmp_path / "bench" / "discover.py"
+            needle, 'int(os.environ.get("NOVA_BENCH_JOBS", "1"))', 1)
+        target = tmp_path / "bench" / "sweep.py"
         target.parent.mkdir(parents=True)
         target.write_text(broken)
         result = lint_tree(tmp_path)
         hits = [f for f in result.findings if f.rule == "NV010"]
         assert hits, "a direct NOVA_* env read went unnoticed"
-        assert "NOVA_BENCH_SET" in hits[0].message
-        assert hits[0].path.endswith("bench/discover.py")
+        assert "NOVA_BENCH_JOBS" in hits[0].message
+        assert hits[0].path.endswith("bench/sweep.py")
         assert hits[0].line >= 1
 
     def test_default_config_scopes_every_rule(self):

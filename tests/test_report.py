@@ -1,6 +1,6 @@
 """Tests for the markdown/CSV report writers."""
 
-from repro.eval.report import ratio_summary, to_csv, to_markdown
+from repro.eval.report import to_csv, to_markdown
 
 
 ROWS = [
@@ -44,17 +44,3 @@ class TestCsv:
     def test_empty(self):
         assert to_csv([]) == ""
 
-
-class TestRatioSummary:
-    def test_percentage(self):
-        s = ratio_summary(ROWS, "nova", "kiss", label="nova/kiss")
-        assert "50%" in s
-        assert "2 machines" in s
-
-    def test_skips_missing(self):
-        rows = ROWS + [{"example": "x", "nova": None, "kiss": 10}]
-        s = ratio_summary(rows, "nova", "kiss")
-        assert "2 machines" in s
-
-    def test_all_missing(self):
-        assert "n/a" in ratio_summary([{"a": None, "b": 0}], "a", "b")

@@ -16,7 +16,7 @@ from repro.eval.tables import (
     random_columns,
     ratio_series,
     run,
-    table1_rows,
+    table1_row,
     table2_row,
     table3_row,
     table4_row,
@@ -30,9 +30,9 @@ from repro.fsm.benchmarks import benchmark, benchmark_names
 
 class TestTable1:
     def test_rows_for_small_subset(self):
-        rows = table1_rows("small")
-        assert len(rows) == len(benchmark_names("small"))
-        for r in rows:
+        for name in benchmark_names("small"):
+            r = table1_row(name)
+            assert r["example"] == name
             assert r["states"] >= 2
             assert r["products"] >= r["states"] - 1
 
