@@ -28,6 +28,17 @@ and the prune budget (default 256 MiB), set by the ``NOVA_CACHE`` /
 ``NOVA_CACHE_DIR`` / ``NOVA_CACHE_MAX_BYTES`` variables, a
 ``$NOVA_CONFIG`` file or :func:`repro.config.config_scope`.
 
+Read and fill
+-------------
+:func:`lookup` and :func:`store` are the only read and fill path: the
+encode pipeline (``encode_fsm``), the batch runner's parent-side probe
+and the encode service's warm path all go through them, so the tier
+walk (:meth:`EncodeCache.get`), the quarantine of an undecodable
+payload, the ``cache_hit`` mark and the rule that a result the
+cooperative timeout degraded is never stored (:func:`cacheable`) are
+written once, and every hit or miss reaches the :class:`EncodeCache`
+and :mod:`repro.perf` counters.
+
 The module-level :func:`cache_info` / :func:`cache_clear` /
 :func:`cache_prune` back both the ``nova cache`` CLI and the
 :mod:`repro.api` facade.
@@ -39,6 +50,9 @@ from pathlib import Path
 from typing import Dict, Optional, Tuple
 
 from repro import config as config_mod
+from repro.encoding.nova import NovaResult
+from repro.encoding.options import EncodeOptions
+from repro.fsm.machine import FSM
 
 from repro.cache.codec import (
     PAYLOAD_VERSION,
@@ -71,15 +85,16 @@ __all__ = [
     "cache_dir",
     "cache_info",
     "cache_prune",
-    "check_environment",
+    "cacheable",
     "canonical_fsm",
     "canonical_options",
     "decode_result",
     "encode_result",
     "fingerprint",
     "get_cache",
+    "lookup",
     "reset",
-    "resolve_policy",
+    "store",
 ]
 
 def cache_dir() -> Path:
@@ -91,35 +106,6 @@ def _max_bytes() -> int:
     return config_mod.cache_max_bytes()
 
 
-def resolve_policy(policy: str = "auto") -> str:
-    """Collapse ``auto`` against the runtime config; returns on/off/memory.
-
-    Thin wrapper over :func:`repro.config.cache_policy` — the single
-    choke point where an unrecognized value (a typo'd ``NOVA_CACHE``, a
-    bad ``$NOVA_CONFIG`` key) raises ``ValueError`` instead of silently
-    resolving to the default: a user who exported ``NOVA_CACHE=of``
-    (or ``disk``, or ``tru``) meant *something*, and running with the
-    wrong cache policy would quietly change costs — or, for
-    ``off``-intended values, quietly reuse stale results.  Long-lived
-    entry points (``nova serve``) validate at startup via
-    :func:`check_environment` so the error surfaces before the first
-    request.
-    """
-    return config_mod.cache_policy(policy)
-
-
-def check_environment() -> str:
-    """Validate the whole runtime configuration eagerly; returns the policy.
-
-    Thin wrapper over :func:`repro.config.get_config`, which parses
-    every field of every layer (environment, ``$NOVA_CONFIG`` file,
-    active scopes); services call this at startup so a typo'd
-    ``NOVA_CACHE`` (or a non-integer ``NOVA_CACHE_MAX_BYTES``) fails
-    the boot, not the hundredth request.
-    """
-    return config_mod.get_config().cache
-
-
 # One live cache per (policy, root) so every encode_fsm call in a
 # process shares the same memory tier and hit/miss counters.  The disk
 # tier holds no open handles, so instances are cheap to keep around
@@ -129,7 +115,7 @@ _CACHES: Dict[Tuple[str, Optional[str]], EncodeCache] = {}
 
 def get_cache(policy: str = "auto") -> Optional[EncodeCache]:
     """The shared :class:`EncodeCache` for *policy*, or ``None`` (off)."""
-    effective = resolve_policy(policy)
+    effective = config_mod.cache_policy(policy)
     if effective == "off":
         return None
     if effective == "memory":
@@ -146,6 +132,64 @@ def get_cache(policy: str = "auto") -> Optional[EncodeCache]:
     elif cache.disk is not None:
         cache.disk.max_bytes = _max_bytes()
     return cache
+
+
+def lookup(fsm: FSM, opts: EncodeOptions,
+           key: Optional[str] = None) -> Optional[Tuple[NovaResult, str]]:
+    """``(result, tier)`` for a cached run of *opts* on *fsm*, or ``None``.
+
+    *tier* is ``"memory"`` or ``"disk"``; the result is marked
+    ``report.cache_hit``.  A payload that does not decode for *fsm* is
+    invalidated (dropped from memory, its blob quarantined) and counts
+    as a miss, so a corrupt entry costs one recompute, never a wrong
+    answer.  *key* defaults to :func:`fingerprint` of *fsm* and *opts*.
+    """
+    cache = get_cache(opts.cache)
+    if cache is None:
+        return None
+    if key is None:
+        key = fingerprint(fsm, opts)
+    payload, tier = cache.get(key)
+    if payload is None:
+        return None
+    try:
+        result = decode_result(fsm, payload)
+    except CacheDecodeError:
+        cache.invalidate(key)
+        return None
+    if result.report is not None:
+        result.report.cache_hit = True
+    return result, tier
+
+
+def cacheable(result: NovaResult) -> bool:
+    """Whether *result* is a pure function of its fingerprint.
+
+    A result the cooperative ``timeout`` degraded depends on where the
+    budget fired (machine speed, load), so it is returned but never
+    stored; a clean result under a timeout is the untimed answer and
+    caches normally (the timeout is part of the key).
+    """
+    report = result.report
+    return not (report is not None and report.timeout is not None
+                and report.degraded)
+
+
+def store(fsm: FSM, opts: EncodeOptions, result: NovaResult,
+          key: Optional[str] = None) -> None:
+    """Fill the cache with *result*, unless the rules forbid it.
+
+    Nothing is stored for options that are not
+    :attr:`~repro.encoding.options.EncodeOptions.storable` (an unseeded
+    ``random`` run) or for a result that is not :func:`cacheable`.
+    """
+    if not (opts.storable and cacheable(result)):
+        return
+    cache = get_cache(opts.cache)
+    if cache is None:
+        return
+    cache.put(fingerprint(fsm, opts) if key is None else key,
+              encode_result(result))
 
 
 def _cache_on() -> EncodeCache:

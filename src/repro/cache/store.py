@@ -242,20 +242,22 @@ class EncodeCache:
                 stats.cache_miss += 1
             stats.cache_bytes += nbytes
 
-    def get(self, key: str) -> Optional[Dict]:
+    def get(self, key: str) -> Tuple[Optional[Dict], Optional[str]]:
+        """(payload, tier) — tier ``"memory"`` or ``"disk"`` (a disk hit
+        is promoted into the memory tier) — or ``(None, None)``."""
         payload = self.memory.get(key)
         if payload is not None:
             self._count(hit=True)
-            return payload
+            return payload, "memory"
         if self.disk is not None:
             payload, nbytes = self.disk.get(key)
             if payload is not None:
                 self.bytes_read += nbytes
                 self.memory.put(key, payload)
                 self._count(hit=True, nbytes=nbytes)
-                return payload
+                return payload, "disk"
         self._count(hit=False)
-        return None
+        return None, None
 
     def put(self, key: str, payload: Dict) -> None:
         self.memory.put(key, payload)

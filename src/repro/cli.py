@@ -78,11 +78,20 @@ def _cmd_encode(args: argparse.Namespace) -> int:
     return 0
 
 
+def _fold_worker_perf(report) -> None:
+    """Add a batch run's worker counters to the ``--stats`` collector
+    (the work ran in the workers, whose collectors this one never saw)."""
+    from repro import perf
+
+    if perf.STATS is not None:
+        perf.STATS.merge(report.perf.as_dict())
+
+
 def _cmd_table(args: argparse.Namespace) -> int:
     """One paper table: a batch-runner row task per machine."""
     import tempfile
 
-    from repro import config, perf
+    from repro import config
     from repro.bench.discover import DEFAULT_TASK_TIMEOUT, subset_names
     from repro.eval import tables
     from repro.runner import BatchRunner, BatchTask
@@ -100,8 +109,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
             task_timeout=DEFAULT_TASK_TIMEOUT, retries=0,
             progress=lambda line: print(f"  {line}", file=sys.stderr),
         ).run()
-    if perf.STATS is not None:  # --stats: the rows ran in the workers
-        perf.STATS.merge(report.perf.as_dict())
+    _fold_worker_perf(report)
     rows = {row["example"]: row for row in report.rows()}
     failed = [name for name in names if name not in rows]
     if failed:
@@ -258,6 +266,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     except RunDirBusy as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    _fold_worker_perf(report)
     print(report.summary())
     if runner.join_mode:
         from repro.runner import shard_name

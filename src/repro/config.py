@@ -407,8 +407,8 @@ def get_config() -> RuntimeConfig:
 
     Reads all three layers for every field, so any invalid value
     anywhere in the environment or config file raises here — this is
-    the eager-validation entry point services call at boot (via
-    :func:`repro.cache.check_environment`).
+    the eager-validation entry point services call at boot
+    (:class:`repro.server.EncodeService`).
     """
     return RuntimeConfig(**{
         f.name: _resolve(f.name)

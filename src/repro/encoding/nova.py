@@ -661,7 +661,8 @@ def _encode_uncached_inner(fsm: FSM, opts: EncodeOptions,
 
 
 def _cached_encode(fsm: FSM, opts: EncodeOptions) -> NovaResult:
-    """Cache lookup → decode → fill around :func:`_encode_uncached`.
+    """:func:`repro.cache.lookup` → :func:`_encode_uncached` →
+    :func:`repro.cache.store`.
 
     The cache is bypassed entirely (no lookup, no fill) when the run is
     not a pure function of its fingerprint: the options are not
@@ -669,44 +670,22 @@ def _cached_encode(fsm: FSM, opts: EncodeOptions) -> NovaResult:
     plan is armed (:mod:`repro.testing.faults` makes outcomes depend on
     the plan).  A ``seed``-derived RNG is fine: it is built fresh from
     the keyed seed right here, so a recompute replays the exact same
-    stream.
-
-    A cooperative ``timeout`` narrows only the *fill* side: a degraded
-    result under a timeout depends on wall-clock (the budget fired at
-    some machine-speed-dependent point), so it is computed and returned
-    but never stored.  A clean result under a timeout is the same pure
-    answer the untimed run would produce and caches normally; the
-    timeout value itself is part of the fingerprint, so differently
-    bounded runs never share an entry.
+    stream.  What a timeout-degraded result may not do is decided by
+    :func:`repro.cache.store`.
     """
-    usable = opts.storable and faults.ACTIVE is None
     rng = None if opts.seed is None else random.Random(opts.seed)
-    if not usable or config_mod.cache_policy(opts.cache) == "off":
+    if (not opts.storable or faults.ACTIVE is not None
+            or config_mod.cache_policy(opts.cache) == "off"):
         return _encode_uncached(fsm, opts, rng)
     # the fingerprint, codec and stores load only with a tier in use
     from repro import cache as cache_mod
 
-    cache = cache_mod.get_cache(opts.cache)
-    if cache is None:
-        return _encode_uncached(fsm, opts, rng)
     key = cache_mod.fingerprint(fsm, opts)
-    payload = cache.get(key)
-    if payload is not None:
-        try:
-            result = cache_mod.decode_result(fsm, payload)
-        except cache_mod.CacheDecodeError:
-            # undecodable blob: quarantine and fall through to recompute
-            cache.invalidate(key)
-        else:
-            if result.report is not None:
-                result.report.cache_hit = True
-            return result
+    hit = cache_mod.lookup(fsm, opts, key)
+    if hit is not None:
+        return hit[0]
     result = _encode_uncached(fsm, opts, rng)
-    wallclock_shaped = (opts.timeout is not None
-                        and result.report is not None
-                        and result.report.degraded)
-    if not wallclock_shaped:
-        cache.put(key, cache_mod.encode_result(result))
+    cache_mod.store(fsm, opts, result, key)
     return result
 
 

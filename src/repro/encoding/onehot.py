@@ -19,7 +19,7 @@ def random_code(n: int, nbits: Optional[int] = None,
     """A uniform random injective encoding of *n* symbols."""
     if rng is None:
         # nova-lint: disable=NV005 -- deliberately unseeded baseline:
-        # options.deterministic/storable are False for algorithm='random'
+        # options.storable is False for algorithm='random'
         # without a seed, so this path never reaches the cache
         rng = random.Random()
     bits = minimum_code_length(n) if nbits is None else nbits

@@ -157,28 +157,18 @@ class EncodeOptions:
         )
 
     @property
-    def deterministic(self) -> bool:
-        """Whether two runs with these options must agree bit-for-bit.
-
-        The only stochastic path is the ``random`` baseline without a
-        pinned seed; every other algorithm is deterministic for a fixed
-        machine + options tuple.  Non-deterministic runs are never
-        cached (a hit could replay someone else's coin flips).
-        """
-        return not (self.algorithm == "random" and self.seed is None)
-
-    @property
     def storable(self) -> bool:
         """Whether runs under these options may use the cache at all.
 
-        Only non-deterministic options (an unseeded ``random`` run) are
-        categorically uncacheable.  A wall-clock ``timeout`` does *not*
-        disqualify the options — the timeout participates in the
-        fingerprint, and the store step additionally refuses any result
-        the budget actually shaped (a degraded run), so only the pure
-        untimed answer ever lands in the cache.
+        The only stochastic path is the ``random`` baseline without a
+        pinned seed; every other algorithm is deterministic for a fixed
+        machine + options tuple, and a non-deterministic run is never
+        cached (a hit could replay someone else's coin flips).  A
+        wall-clock ``timeout`` does *not* disqualify the options: it is
+        part of the fingerprint, and :func:`repro.cache.store` refuses
+        any result the budget actually degraded.
         """
-        return self.deterministic
+        return not (self.algorithm == "random" and self.seed is None)
 
 
 def merge_options(options: Optional[EncodeOptions],

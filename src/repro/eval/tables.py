@@ -67,31 +67,39 @@ def run(name: str, algorithm: str, **kwargs) -> NovaResult:
     return encode_fsm(fsm, algorithm, effort=_effort(name), **kwargs)
 
 
+def random_trials(name: str, paper_trials: int,
+                  trials: Optional[int] = None,
+                  seed: int = 1989) -> List[NovaResult]:
+    """The random-assignment baseline runs of one table row.
+
+    *paper_trials* is the paper's trial count for the table; machines
+    with more than 12 states cap it at 5 unless ``trials`` is passed
+    explicitly (the full protocol is slow in pure Python).
+    """
+    fsm = benchmark(name)
+    if trials is None:
+        trials = paper_trials if fsm.num_states <= 12 else min(paper_trials, 5)
+    # one derived integer seed per trial (not a shared Random instance)
+    # so every run is a pure function of its cache fingerprint
+    seeds = random.Random(seed).sample(range(1 << 30), trials)
+    return [encode_fsm(fsm, "random", effort=_effort(name), seed=s)
+            for s in seeds]
+
+
 @shared_stages()
 def random_columns(
     name: str,
     trials: Optional[int] = None,
     seed: int = 1989,
 ) -> Dict[str, float]:
-    """Best and average area over random assignments (Tables III/IV).
-
-    The paper uses #states + #symbolic-inputs trials; large machines cap
-    at 5 trials by default to keep the pure-Python run tractable (pass
-    ``trials`` explicitly for the full paper protocol).
-    """
+    """Best and average area over random assignments (Tables III/IV):
+    #states + #symbolic-inputs trials in the paper's protocol."""
     fsm = benchmark(name)
-    paper_trials = fsm.num_states + len(fsm.symbolic_input_values)
-    if trials is None:
-        trials = paper_trials if fsm.num_states <= 12 else min(paper_trials, 5)
-    # one derived integer seed per trial (not a shared Random instance)
-    # so every run is a pure function of its cache fingerprint
-    seeds = random.Random(seed).sample(range(1 << 30), trials)
-    areas = []
-    for s in seeds:
-        r = encode_fsm(fsm, "random", effort=_effort(name), seed=s)
-        areas.append(r.area)
+    runs = random_trials(
+        name, fsm.num_states + len(fsm.symbolic_input_values), trials, seed)
+    areas = [r.area for r in runs]
     return {"best": min(areas), "avg": round(sum(areas) / len(areas), 1),
-            "trials": trials}
+            "trials": len(runs)}
 
 
 # ----------------------------------------------------------------------
@@ -216,14 +224,8 @@ def table7_row(name: str, trials: Optional[int] = None) -> Dict:
     nova = min((run(name, a) for a in ("ihybrid", "igreedy")),
                key=lambda r: r.cubes)
     n_lits = multilevel_literals(nova.pla)
-    paper_trials = fsm.num_states
-    if trials is None:
-        trials = paper_trials if fsm.num_states <= 12 else min(paper_trials, 5)
-    seeds = random.Random(1989).sample(range(1 << 30), trials)
-    rand_lits = []
-    for s in seeds:
-        r = encode_fsm(fsm, "random", effort=effort, seed=s)
-        rand_lits.append(multilevel_literals(r.pla))
+    rand_lits = [multilevel_literals(r.pla)
+                 for r in random_trials(name, fsm.num_states, trials)]
     return {
         "example": name,
         "mustang_cubes": m_cubes,

@@ -390,8 +390,9 @@ class BatchRunner:
 
         A hit costs one disk read + JSON decode (~ms) against a pipe
         round trip to a worker — and ~0.15 s of interpreter start-up
-        and pipeline compile when no idle worker is left to reuse.  Anything unexpected —
-        uncacheable options, a miss, a decode failure — falls through
+        and pipeline compile when no idle worker is left to reuse.
+        Anything unexpected — uncacheable options, a miss, a payload
+        :func:`repro.cache.lookup` had to quarantine — falls through
         to the normal worker path, so this can only ever skip work,
         never change a result.
         """
@@ -410,18 +411,15 @@ class BatchRunner:
             cache = cache_mod.get_cache(opts.cache)
             if cache is None or cache.disk is None:
                 return False
-            fsm = _load_fsm(task.machine)
-            payload = cache.get(cache_mod.fingerprint(fsm, opts))
-            if payload is None:
-                return False
-            result = cache_mod.decode_result(fsm, payload)
+            hit = cache_mod.lookup(_load_fsm(task.machine), opts)
         # nova-lint: disable=NV004 -- deliberate catch-all guard: a
         # cache probe failure can only skip the shortcut (a worker then
         # computes the task normally), never change a result
         except Exception:
             return False  # any surprise: let a worker handle the task
-        if result.report is not None:
-            result.report.cache_hit = True
+        if hit is None:
+            return False
+        result = hit[0]
         status = ("degraded" if result.report is not None
                   and result.report.degraded else "ok")
         elapsed = round(time.monotonic() - task_t0, 6)

@@ -120,22 +120,18 @@ def _run_encode(spec: Dict) -> Dict:
         fsm = parse_kiss(spec["kiss"], name=spec["machine"])
     else:
         fsm = _load_fsm(spec["machine"])
-    options = dict(spec.get("options") or {})
-    result = encode_fsm(fsm, spec["algorithm"], **options)
+    result = encode_fsm(fsm, spec["algorithm"], **(spec.get("options") or {}))
     report = result.report
     status = "degraded" if (report is not None and report.degraded) else "ok"
     out = {"status": status, "record": result.to_record(),
            "cache_hit": bool(report is not None and report.cache_hit)}
     if spec.get("want_payload"):
         # the encode service warms its own in-process cache tier from
-        # this (the worker's memory LRU is not the service's); same
-        # rule as the encode path — a wall-clock-shaped result is never
-        # cache material
+        # this (the worker's memory LRU is not the service's), under
+        # the encode path's own fill rule
         from repro import cache as cache_mod
 
-        wallclock_shaped = (options.get("timeout") is not None
-                            and report is not None and report.degraded)
-        if not wallclock_shaped:
+        if cache_mod.cacheable(result):
             out["payload"] = cache_mod.encode_result(result)
     return out
 

@@ -4,7 +4,7 @@ One :class:`EncodeService` owns the three robustness layers the server
 is built around, applied in a fixed order per request:
 
 1. **Warm path / load shed.**  Storable requests are fingerprinted
-   (PR 4's content address) and probed against the two-tier cache
+   and looked up in the two-tier cache (:func:`repro.cache.lookup`)
    *before* admission control, so cache-warm traffic is answered even
    while the cold path is saturated — overload never takes away
    answers the host already has.
@@ -42,6 +42,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro import cache as cache_mod
+from repro import config as config_mod
 from repro.encoding.nova import fallback_chain
 from repro.encoding.options import EncodeOptions
 from repro.errors import (
@@ -129,8 +130,8 @@ class EncodeService:
             raise ServiceError("kill_grace and rescue_timeout must be >= 0")
         # validate the cache environment eagerly: a typo'd NOVA_CACHE
         # must fail the boot, not the first request
-        cache_mod.resolve_policy(cache_policy)
-        cache_mod.check_environment()
+        config_mod.cache_policy(cache_policy)
+        config_mod.get_config()
         self.default_timeout = default_timeout
         self.max_timeout = max_timeout
         self.kill_grace = kill_grace
@@ -195,37 +196,6 @@ class EncodeService:
         return fsm, kiss_text, opts
 
     # ------------------------------------------------------------------
-    # warm path
-    # ------------------------------------------------------------------
-    def _probe_cache(self, fsm: FSM, opts: EncodeOptions,
-                     fp: str) -> Tuple[Optional[Dict], Optional[str]]:
-        """(record, tier) from the cache, or (None, None) on a miss.
-
-        Probes the tiers directly (memory, then disk with promotion) so
-        the response can say *which* tier answered.
-        """
-        cache = cache_mod.get_cache(opts.cache)
-        if cache is None:
-            return None, None
-        payload = cache.memory.get(fp)
-        tier = "memory" if payload is not None else None
-        if payload is None and cache.disk is not None:
-            payload, _nbytes = cache.disk.get(fp)
-            if payload is not None:
-                tier = "disk"
-                cache.memory.put(fp, payload)
-        if payload is None:
-            return None, None
-        try:
-            result = cache_mod.decode_result(fsm, payload)
-        except cache_mod.CacheDecodeError:
-            cache.invalidate(fp)
-            return None, None
-        if result.report is not None:
-            result.report.cache_hit = True
-        return result.to_record(), tier
-
-    # ------------------------------------------------------------------
     # cold path: admission -> worker ladder
     # ------------------------------------------------------------------
     async def _compute_cold(self, fsm: FSM, kiss_text: Optional[str],
@@ -275,15 +245,13 @@ class EncodeService:
         actually ran with — identical to the request fingerprint on the
         first rung, distinct for retry rungs (their algorithm/timeout
         changed, which is correct: they are different pure results).
+        A payload only comes back for storable options that
+        :func:`repro.cache.cacheable` admitted (:meth:`_spec`).
         """
-        if payload is None:
-            return
         cache = cache_mod.get_cache(opts.cache)
-        if cache is None:
+        if payload is None or cache is None:
             return
         used = opts.replace(algorithm=rung, timeout=cooperative)
-        if not used.storable:
-            return
         cache.memory.put(cache_mod.fingerprint(fsm, used), payload)
 
     async def _run_ladder(self, fsm: FSM, kiss_text: Optional[str],
@@ -375,15 +343,17 @@ class EncodeService:
 
         # 1. warm path (and load shed: runs even while saturated)
         if fp is not None:
-            record, tier = self._probe_cache(fsm, opts, fp)
-            if record is not None:
+            hit = cache_mod.lookup(fsm, opts, fp)
+            if hit is not None:
+                result, tier = hit
                 if tier == "memory":
                     self.stats.cache_memory_hits += 1
                 else:
                     self.stats.cache_disk_hits += 1
                 if self.admission.saturated:
                     self.stats.shed += 1
-                return self._result_response(record, t0, log, cache=tier)
+                return self._result_response(result.to_record(), t0, log,
+                                             cache=tier)
             self.stats.cache_misses += 1
 
         # 2./3. cold path: coalesce, admit, dispatch

@@ -477,3 +477,103 @@ class TestBatchWarm:
             # even the run seconds are rehydrated bit-for-bit
             assert (warm_recs[task_id]["record"]["seconds"]
                     == cold_recs[task_id]["record"]["seconds"])
+
+
+# ----------------------------------------------------------------------
+# one read path: every entry point goes through repro.cache.lookup
+# ----------------------------------------------------------------------
+def _serve(service, *bodies):
+    """``handle_encode`` each body in turn on one loop (the sanitizer's
+    watched loop under NOVA_SANITIZE), then shut the workers down."""
+    import asyncio
+
+    from repro import config as config_mod
+    from repro.testing import sanitize
+
+    async def go():
+        try:
+            return [await service.handle_encode(dict(body))
+                    for body in bodies]
+        finally:
+            service.shutdown()
+
+    if config_mod.sanitize_enabled():
+        return sanitize.watched_run(go())
+    return asyncio.run(go())
+
+
+def _via_encode_fsm(fsm, opts, tmp_path):
+    result = encode_fsm(fsm, options=opts)
+    return result.report.cache_hit, result.to_record()
+
+
+def _via_batch_probe(fsm, opts, tmp_path):
+    from repro.runner import BatchRunner, BatchTask, read_results
+
+    task = BatchTask(fsm.name, algorithm=opts.algorithm,
+                     options={"cache": opts.cache})
+    assert BatchRunner([task], tmp_path / "run", jobs=1).run().ok
+    (rec,) = read_results(tmp_path / "run" / "results.jsonl").records
+    return rec["cache_hit"], rec["record"]
+
+
+def _via_service(fsm, opts, tmp_path):
+    from repro.server import EncodeService
+
+    (response,) = _serve(
+        EncodeService(workers=1, queue_limit=1, cache_policy=opts.cache),
+        {"machine": fsm.name, "options": {"algorithm": opts.algorithm}})
+    assert response.status == 200
+    return response.body["cache"] is not None, response.body["record"]
+
+
+def _untimed(record):
+    """A journal/response record minus timing and cache provenance."""
+    record = json.loads(json.dumps(record))
+    record.pop("seconds", None)
+    for key in ("cache_hit", "seconds", "stage_seconds"):
+        record["report"].pop(key, None)
+    return record
+
+
+class TestSharedReadPath:
+    @pytest.mark.parametrize("entry", [
+        _via_encode_fsm, _via_batch_probe, _via_service,
+    ], ids=["encode_fsm", "batch_probe", "service"])
+    def test_undecodable_payload_is_quarantined_never_served(
+            self, cache_dir, tmp_path, entry):
+        fsm = benchmark("lion")
+        opts = EncodeOptions(algorithm="ihybrid", cache="on")
+        honest = encode_fsm(fsm, "ihybrid", cache="off")
+        # a valid payload of another machine, planted under lion's key
+        # in both tiers
+        key = cache_mod.fingerprint(fsm, opts)
+        wrong = encode_fsm(benchmark("lion9"), "ihybrid", cache="off")
+        cache = cache_mod.get_cache("on")
+        cache.put(key, encode_result(wrong))
+
+        hit, record = entry(fsm, opts, tmp_path)
+
+        assert not hit
+        assert _untimed(record) == _untimed(honest.to_record())
+        assert cache.disk.path_for(key).with_suffix(".corrupt").exists()
+        # the recompute re-published a decodable entry
+        cache_mod.reset()
+        again = cache_mod.lookup(fsm, opts)
+        assert again is not None and again[1] == "disk"
+        assert _untimed(again[0].to_record()) == _untimed(record)
+
+    def test_served_warm_hit_reaches_the_cache_counters(self):
+        from repro.server import EncodeService
+
+        body = {"machine": "dk27", "options": {"algorithm": "igreedy"}}
+        service = EncodeService(workers=1, queue_limit=1,
+                                cache_policy="memory")
+        with perf.collect() as stats:
+            cold, warm = _serve(service, body, body)
+        assert cold.body["cache"] is None
+        assert warm.body["cache"] == "memory"
+        cache = cache_mod.get_cache("memory")
+        assert (cache.hits, cache.misses) == (1, 1)
+        assert (stats.cache_hit, stats.cache_miss) == (1, 1)
+        assert service.stats.cache_memory_hits == 1

@@ -43,6 +43,22 @@ class TestTable:
         assert main(["table", "9"]) == 2
 
 
+class TestBatch:
+    def test_stats_counts_the_workers(self, tmp_path, capsys):
+        from repro.fsm.benchmarks import benchmark
+        from repro.fsm.kiss import to_kiss
+
+        kiss_dir = tmp_path / "kiss"
+        kiss_dir.mkdir()
+        (kiss_dir / "lion.kiss").write_text(to_kiss(benchmark("lion")))
+        assert main(["--stats", "batch", str(kiss_dir), "--cache", "off",
+                     "--out", str(tmp_path / "run")]) == 0
+        err = capsys.readouterr().err
+        assert "substrate perf counters:" in err
+        assert "(all zero)" not in err
+        assert "espresso_passes" in err
+
+
 class TestList:
     def test_list(self, capsys):
         assert main(["list"]) == 0

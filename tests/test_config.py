@@ -291,12 +291,14 @@ class TestScopeLayer:
 # ----------------------------------------------------------------------
 class TestConsumers:
     def test_cache_policy_resolution_uses_config(self):
-        from repro.cache import resolve_policy
+        from repro.cache import get_cache
         with config_scope(cache="memory"):
-            assert resolve_policy("auto") == "memory"
+            assert config.cache_policy("auto") == "memory"
+            assert get_cache("auto").disk is None
         # explicit EncodeOptions policies still win over the config
         with config_scope(cache="off"):
-            assert resolve_policy("on") == "on"
+            assert config.cache_policy("on") == "on"
+            assert get_cache("auto") is None
 
     def test_bench_discover_uses_config(self, tmp_path):
         # a sweep without --jobs runs as wide as the config's bench_jobs

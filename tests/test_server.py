@@ -542,17 +542,19 @@ def test_stats_hook_failure_does_not_leak_admission_slot():
 # environment validation (NOVA_CACHE)
 # ----------------------------------------------------------------------
 def test_unknown_nova_cache_is_rejected(monkeypatch):
-    from repro import cache
-
     monkeypatch.setenv("NOVA_CACHE", "disk")
     with pytest.raises(ValueError, match="NOVA_CACHE"):
-        cache.resolve_policy("auto")
+        config_mod.cache_policy("auto")
     with pytest.raises(ValueError, match="NOVA_CACHE"):
-        cache.check_environment()
+        config_mod.get_config()
+    with pytest.raises(ValueError, match="NOVA_CACHE"):
+        make_service()
     monkeypatch.setenv("NOVA_CACHE", "off")
     monkeypatch.setenv("NOVA_CACHE_MAX_BYTES", "lots")
     with pytest.raises(ValueError, match="NOVA_CACHE_MAX_BYTES"):
-        cache.check_environment()
+        config_mod.get_config()
+    with pytest.raises(ValueError, match="NOVA_CACHE_MAX_BYTES"):
+        make_service()
 
 
 def test_serve_refuses_to_boot_with_bad_cache_env(monkeypatch, capsys):
