@@ -11,4 +11,4 @@ string participates in cache fingerprints, so *any* bump invalidates
 previously cached encode results by construction.
 """
 
-__version__ = "1.2.0"
+__version__ = "2.0.0"

@@ -9,9 +9,13 @@ release ahead.
 Internal module paths (``repro.encoding.nova``, ``repro.logic.*``, ...)
 may move without notice; these names will not.
 
+``encode_fsm`` takes an :class:`EncodeOptions` bundle or its fields
+as keywords, not both at once:
+
 >>> from repro.api import EncodeOptions, encode_fsm, benchmark
 >>> result = encode_fsm(benchmark("lion"),
 ...                     options=EncodeOptions(algorithm="ihybrid"))
+>>> result = encode_fsm(benchmark("lion"), "ihybrid", effort="low")
 """
 
 from __future__ import annotations

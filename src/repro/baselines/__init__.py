@@ -2,12 +2,9 @@
 
 from repro.baselines.kiss import kiss_code
 from repro.baselines.mustang import MUSTANG_OPTIONS, mustang_code
-from repro.baselines.random_search import best_random, random_assignments
 
 __all__ = [
     "kiss_code",
     "mustang_code",
     "MUSTANG_OPTIONS",
-    "random_assignments",
-    "best_random",
 ]

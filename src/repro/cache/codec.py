@@ -37,10 +37,6 @@ class CacheDecodeError(ValueError):
 # ----------------------------------------------------------------------
 # encode
 # ----------------------------------------------------------------------
-def _enc_encoding(e: Optional[Encoding]) -> Optional[Dict]:
-    return None if e is None else {"nbits": e.nbits, "codes": list(e.codes)}
-
-
 def _enc_cover(c: Cover) -> List[str]:
     return [format(cube, "x") for cube in c.cubes]
 
@@ -61,23 +57,11 @@ def _enc_pla(pla: Optional[EncodedPLA]) -> Optional[Dict]:
 
 
 def encode_result(result: NovaResult) -> Dict:
-    """The JSON-safe cache payload for *result*."""
-    return {
-        "v": PAYLOAD_VERSION,
-        "machine": result.fsm.name,
-        "algorithm": result.algorithm,
-        "state_encoding": _enc_encoding(result.state_encoding),
-        "symbol_encoding": _enc_encoding(result.symbol_encoding),
-        "out_symbol_encoding": _enc_encoding(result.out_symbol_encoding),
-        "pla": _enc_pla(result.pla),
-        "cubes": result.cubes,
-        "area": result.area,
-        "seconds": round(result.seconds, 6),
-        "satisfied_weight": result.satisfied_weight,
-        "unsatisfied_weight": result.unsatisfied_weight,
-        "mv_cover_size": result.mv_cover_size,
-        "report": None if result.report is None else result.report.to_dict(),
-    }
+    """The JSON-safe cache payload for *result*: its journal record
+    (:meth:`NovaResult.to_record`) plus the payload version and the
+    minimized PLA."""
+    return {"v": PAYLOAD_VERSION, **result.to_record(),
+            "pla": _enc_pla(result.pla)}
 
 
 # ----------------------------------------------------------------------

@@ -31,12 +31,14 @@ from repro.fsm.kiss import parse_kiss
 
 
 def _load_fsm(args: argparse.Namespace):
-    """The machine named by --benchmark or the KISS2 file argument."""
+    """The machine named by --benchmark or the KISS2 file argument;
+    None (after printing the usage error) when neither is given."""
     if args.benchmark:
         return benchmark(args.benchmark)
     if args.file:
         with open(args.file) as f:
             return parse_kiss(f.read(), name=args.file)
+    print("error: give a KISS2 file or --benchmark NAME", file=sys.stderr)
     return None
 
 
@@ -45,7 +47,6 @@ def _cmd_encode(args: argparse.Namespace) -> int:
 
     fsm = _load_fsm(args)
     if fsm is None:
-        print("error: give a KISS2 file or --benchmark NAME", file=sys.stderr)
         return 2
     result = encode_fsm(fsm, args.algorithm, nbits=args.bits,
                         effort=args.effort, timeout=args.timeout,
@@ -447,11 +448,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     """Static analysis of a machine (reachability, determinism, STG)."""
     from repro.fsm.analysis import analyze, to_dot, unreachable_states
 
-    if args.benchmark:
-        fsm = benchmark(args.benchmark)
-    else:
-        with open(args.file) as f:
-            fsm = parse_kiss(f.read(), name=args.file)
+    fsm = _load_fsm(args)
+    if fsm is None:
+        return 2
     stats = analyze(fsm)
     print(f"machine       : {fsm!r}")
     print(f"reachable     : {stats.reachable}/{stats.states}")
@@ -604,15 +603,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     from repro.encoding.nova import encode_fsm
     from repro.encoding.verify import verify_encoded_machine
 
-    if args.benchmark:
-        fsm = benchmark(args.benchmark)
-    else:
-        with open(args.file) as f:
-            fsm = parse_kiss(f.read(), name=args.file)
+    fsm = _load_fsm(args)
+    if fsm is None:
+        return 2
     result = encode_fsm(fsm, args.algorithm, effort=args.effort)
     report = verify_encoded_machine(fsm, result.state_encoding, result.pla,
-                                    result.symbol_encoding)
-    print(f"algorithm : {args.algorithm}")
+                                    result.symbol_encoding,
+                                    result.out_symbol_encoding)
+    print(f"algorithm : {result.algorithm}")
     print(f"checked   : {report.checked_pairs} (state, input) pairs")
     if report.ok:
         print("verdict   : OK — encoded PLA matches the machine exactly")

@@ -30,7 +30,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass, field
 import random
 import time
-from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro import config as config_mod
 from repro.constraints.input_constraints import (
@@ -46,16 +46,13 @@ from repro.encoding.iohybrid import IoStats, iohybrid_code, iovariant_code
 from repro.encoding.onehot import onehot_code, random_code
 from repro.encoding.options import (
     ALGORITHMS,  # noqa: F401  (re-exported: the CLI imports it from here)
-    UNSET,
     EncodeOptions,
-    merge_options,
 )
 from repro.errors import (
     EncodingInfeasible,
     ReproError,
     VerificationError,
 )
-from repro.eval.area import pla_area
 from repro.eval.instantiate import EncodedPLA, evaluate_encoding
 from repro.fsm.machine import FSM
 from repro.fsm.symbolic_cover import build_symbolic_cover
@@ -110,10 +107,10 @@ class RunReport:
         Inside a :func:`shared_stages` block ``mv_min``/``osym``
         appear only on the encode that computed them.
     verified:
-        True when the verification gate confirmed the returned PLA
-        implements the machine; False when verification itself failed
-        in last-resort mode; None when the gate was skipped
-        (``verify=False`` or an unevaluated run).
+        Always True or False on a returned result: True when the
+        verification gate confirmed the returned PLA implements the
+        machine, False when verification itself failed in last-resort
+        mode.  (None only while the run is still in progress.)
     unminimized:
         True when re-minimization failed and the reported cover/area
         come from the raw encoded cover.
@@ -481,9 +478,7 @@ def _attempt(
     algorithm: str,
     nbits: Optional[int],
     rng: Optional[random.Random],
-    evaluate: bool,
     mustang_option: str,
-    verify: bool,
 ) -> NovaResult:
     """One full pipeline pass with *algorithm*; raises ReproError on
     any stage failure (the driver decides whether to fall back)."""
@@ -535,23 +530,8 @@ def _attempt(
     if budget is not None:
         budget.check_time()
 
-    pla: Optional[EncodedPLA] = None
-    if algorithm == "onehot" and not evaluate:
-        cubes = mv_size
-        ibits = len(fsm.symbolic_input_values) if fsm.has_symbolic_input else 0
-        area = pla_area(fsm.num_inputs + ibits, fsm.num_states,
-                        fsm.num_outputs + len(fsm.symbolic_output_values),
-                        cubes)
-    elif evaluate:
-        pla = _evaluate(pipe, enc, symbol_enc, out_symbol_enc)
-        cubes = pla.num_cubes
-        area = pla.area
-        if verify:
-            _verify_gate(pipe, algorithm, enc, symbol_enc, out_symbol_enc,
-                         pla)
-    else:
-        cubes = 0
-        area = 0
+    pla = _evaluate(pipe, enc, symbol_enc, out_symbol_enc)
+    _verify_gate(pipe, algorithm, enc, symbol_enc, out_symbol_enc, pla)
     return NovaResult(
         fsm=fsm,
         algorithm=algorithm,
@@ -559,8 +539,8 @@ def _attempt(
         symbol_encoding=symbol_enc,
         out_symbol_encoding=out_symbol_enc,
         pla=pla,
-        cubes=cubes,
-        area=area,
+        cubes=pla.num_cubes,
+        area=pla.area,
         seconds=0.0,  # patched by the driver with the total run time
         satisfied_weight=sat,
         unsatisfied_weight=unsat,
@@ -569,7 +549,7 @@ def _attempt(
     )
 
 
-def _last_resort(pipe: _Pipeline, evaluate: bool, verify: bool) -> NovaResult:
+def _last_resort(pipe: _Pipeline) -> NovaResult:
     """Unconditional one-hot encoding built straight from the machine.
 
     Skips constraint extraction entirely (it may be the failing stage)
@@ -582,19 +562,12 @@ def _last_resort(pipe: _Pipeline, evaluate: bool, verify: bool) -> NovaResult:
                   if fsm.has_symbolic_input else None)
     out_symbol_enc = (onehot_code(len(fsm.symbolic_output_values))
                       if fsm.has_symbolic_output else None)
-    pla: Optional[EncodedPLA] = None
-    cubes = area = 0
-    if evaluate:
-        pla = _evaluate(pipe, enc, symbol_enc, out_symbol_enc)
-        cubes = pla.num_cubes
-        area = pla.area
-        if verify:
-            try:
-                _verify_gate(pipe, "onehot", enc, symbol_enc,
-                             out_symbol_enc, pla)
-            except ReproError as exc:
-                report.verified = False
-                report.record_failure("onehot", exc)
+    pla = _evaluate(pipe, enc, symbol_enc, out_symbol_enc)
+    try:
+        _verify_gate(pipe, "onehot", enc, symbol_enc, out_symbol_enc, pla)
+    except ReproError as exc:
+        report.verified = False
+        report.record_failure("onehot", exc)
     return NovaResult(
         fsm=fsm,
         algorithm="onehot",
@@ -602,8 +575,8 @@ def _last_resort(pipe: _Pipeline, evaluate: bool, verify: bool) -> NovaResult:
         symbol_encoding=symbol_enc,
         out_symbol_encoding=out_symbol_enc,
         pla=pla,
-        cubes=cubes,
-        area=area,
+        cubes=pla.num_cubes,
+        area=pla.area,
         seconds=0.0,
         report=report,
     )
@@ -611,7 +584,7 @@ def _last_resort(pipe: _Pipeline, evaluate: bool, verify: bool) -> NovaResult:
 
 def _encode_uncached(fsm: FSM, opts: EncodeOptions,
                      rng: Optional[random.Random]) -> NovaResult:
-    """The full pipeline run, cache-blind (the pre-1.2 encode_fsm body).
+    """The full pipeline run, cache-blind.
 
     The substrate's containment memo is scoped to this run: answers
     cached while encoding one machine must not leak into the next
@@ -637,8 +610,8 @@ def _encode_uncached_inner(fsm: FSM, opts: EncodeOptions,
     last_exc: Optional[ReproError] = None
     for alg in chain:
         try:
-            result = _attempt(pipe, alg, opts.nbits, rng, opts.evaluate,
-                              opts.mustang_option, opts.verify)
+            result = _attempt(pipe, alg, opts.nbits, rng,
+                              opts.mustang_option)
             break
         except ReproError as exc:
             report.record_failure(alg, exc)
@@ -649,7 +622,7 @@ def _encode_uncached_inner(fsm: FSM, opts: EncodeOptions,
     if result is None:
         # every chain algorithm failed (e.g. the shared extraction
         # stage is down): build the unconditional one-hot result
-        result = _last_resort(pipe, opts.evaluate, opts.verify)
+        result = _last_resort(pipe)
     report.algorithm = result.algorithm
     if report.fallbacks and result.algorithm != algorithm:
         report.degraded = True
@@ -689,44 +662,38 @@ def _cached_encode(fsm: FSM, opts: EncodeOptions) -> NovaResult:
     return result
 
 
-def encode_fsm(
-    fsm: FSM,
-    algorithm: Union[str, Any] = UNSET,
-    nbits: Union[Optional[int], Any] = UNSET,
-    effort: Union[str, Any] = UNSET,
-    evaluate: Union[bool, Any] = UNSET,
-    mustang_option: Union[str, Any] = UNSET,
-    timeout: Union[Optional[float], Any] = UNSET,
-    fallback: Union[bool, Any] = UNSET,
-    verify: Union[bool, Any] = UNSET,
-    seed: Union[Optional[int], Any] = UNSET,
-    cache: Union[str, Any] = UNSET,
-    options: Optional[EncodeOptions] = None,
-) -> NovaResult:
+def encode_fsm(fsm: FSM, algorithm: Optional[str] = None, *,
+               options: Optional[EncodeOptions] = None,
+               **fields: Any) -> NovaResult:
     """Run the full NOVA pipeline on *fsm*.
 
-    The preferred call shape since 1.2 is an options bundle::
+    Takes its :class:`EncodeOptions` in one of two call shapes::
 
         encode_fsm(fsm, options=EncodeOptions(algorithm="iexact"))
+        encode_fsm(fsm, "iexact", nbits=4)  # EncodeOptions(...) fields
 
-    Every historical keyword still works and may be combined with
-    ``options=`` as long as they do not disagree — a keyword that
-    conflicts with a non-default options field raises ``ValueError``
-    (see :func:`repro.encoding.options.merge_options`).
+    Passing both — ``options=`` together with *algorithm* or any field
+    keyword — raises ``TypeError``; an unknown keyword raises
+    ``TypeError`` from the ``EncodeOptions`` constructor.
 
-    Parameters beyond the paper's: *timeout* bounds the whole run with
-    one wall-clock :class:`Budget` shared by every stage; *fallback*
+    Options beyond the paper's: *timeout* bounds the whole run with one
+    wall-clock :class:`Budget` shared by every stage; *fallback*
     enables the degradation chain (on False, the first failure raises
-    its :class:`~repro.errors.ReproError`); *verify* runs the
-    post-encode verification gate, whose mismatch triggers fallback
-    instead of silently reporting a wrong area; *seed* pins the RNG of
+    its :class:`~repro.errors.ReproError`); *seed* pins the RNG of
     stochastic algorithms; *cache* picks the result-cache policy
-    (``auto``/``on``/``memory``/``off``, see :mod:`repro.cache`).
+    (``auto``/``on``/``memory``/``off``, see :mod:`repro.cache`).  The
+    post-encode verification gate always runs: a mismatch triggers
+    fallback instead of silently reporting a wrong area.
     """
-    explicit = {name: value for name, value in (
-        ("algorithm", algorithm), ("nbits", nbits), ("effort", effort),
-        ("evaluate", evaluate), ("mustang_option", mustang_option),
-        ("timeout", timeout), ("fallback", fallback), ("verify", verify),
-        ("seed", seed), ("cache", cache),
-    ) if value is not UNSET}
-    return _cached_encode(fsm, merge_options(options, explicit))
+    if algorithm is not None:
+        fields["algorithm"] = algorithm
+    if options is None:
+        options = EncodeOptions(**fields)
+    elif fields:
+        raise TypeError(
+            "encode_fsm takes options= or EncodeOptions field keywords, "
+            f"not both (got options= and {sorted(fields)})")
+    elif not isinstance(options, EncodeOptions):
+        raise TypeError(f"options must be EncodeOptions, "
+                        f"got {type(options).__name__}")
+    return _cached_encode(fsm, options)

@@ -1,20 +1,16 @@
 """The :class:`EncodeOptions` bundle: every knob of :func:`encode_fsm`.
 
-``encode_fsm`` grew one keyword at a time until its signature carried
-ten loose parameters; this module turns them into a single frozen
-dataclass that can be constructed once, varied with :meth:`replace`,
-hashed into a cache fingerprint, and shipped across process boundaries
-as a plain dict.
+A single frozen dataclass that can be constructed once, varied with
+:meth:`replace`, hashed into a cache fingerprint, and shipped across
+process boundaries as a plain dict.
 
-Two construction paths coexist:
+``encode_fsm`` takes it in one of two call shapes, never both at once:
 
-* the new API — ``encode_fsm(fsm, options=EncodeOptions(...))``;
-* every historical keyword — ``encode_fsm(fsm, "iexact", nbits=4)`` —
-  which :func:`merge_options` folds into an options object.  Passing
-  both is allowed as long as they do not disagree: a keyword may fill a
-  field the options object left at its default (or restate the same
-  value), but a *conflicting* keyword raises ``ValueError`` instead of
-  silently picking a winner.
+* an options object — ``encode_fsm(fsm, options=EncodeOptions(...))``;
+* its fields as keywords — ``encode_fsm(fsm, "iexact", nbits=4)`` —
+  which build ``EncodeOptions(algorithm="iexact", nbits=4)``.
+
+Mixing the two raises ``TypeError``.
 
 Stochastic runs are requested with a plain ``seed: int`` — never a
 ``random.Random`` instance, which is unhashable and would poison cache
@@ -58,18 +54,6 @@ CACHE_POLICIES = ("auto", "on", "off", "memory")
 NON_FINGERPRINT_FIELDS = frozenset({"cache"})
 
 
-class _Unset:
-    """Sentinel distinguishing 'not passed' from an explicit default."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "<unset>"
-
-
-UNSET = _Unset()
-
-
 @dataclass(frozen=True)
 class EncodeOptions:
     """Immutable, hashable bundle of every :func:`encode_fsm` knob.
@@ -84,10 +68,10 @@ class EncodeOptions:
         Integer seed for stochastic algorithms (``random``).  Part of
         the cache fingerprint: two runs with the same seed are
         bit-identical, so their shared cache entry is sound.
-    timeout / fallback / verify / evaluate:
-        Run shaping: the cooperative wall-clock budget, the degradation
-        chain switch, the post-encode verification gate, and whether to
-        instantiate + re-minimize the encoded PLA at all.
+    timeout / fallback:
+        Run shaping: the cooperative wall-clock budget and the
+        degradation chain switch.  The post-encode verification gate
+        always runs.
     cache:
         Cache policy for this run (see :data:`CACHE_POLICIES`).  The
         policy never changes the *result*, only where it comes from, so
@@ -100,8 +84,6 @@ class EncodeOptions:
     seed: Optional[int] = None
     timeout: Optional[float] = None
     fallback: bool = True
-    verify: bool = True
-    evaluate: bool = True
     mustang_option: str = "p"
     cache: str = "auto"
 
@@ -169,38 +151,3 @@ class EncodeOptions:
         any result the budget actually degraded.
         """
         return not (self.algorithm == "random" and self.seed is None)
-
-
-def merge_options(options: Optional[EncodeOptions],
-                  explicit: Dict[str, Any]) -> EncodeOptions:
-    """Fold explicitly-passed legacy keywords into *options*.
-
-    *explicit* maps field name -> value for keywords the caller actually
-    passed (``UNSET`` entries must be filtered out by the caller).  With
-    no options object the keywords simply construct one.  With both, a
-    keyword may fill a field the options object left at its dataclass
-    default, or restate the same value; a disagreement raises
-    ``ValueError`` naming every conflicting field.
-    """
-    if options is None:
-        return EncodeOptions(**explicit)
-    if not isinstance(options, EncodeOptions):
-        raise TypeError(f"options must be EncodeOptions, "
-                        f"got {type(options).__name__}")
-    defaults = {f.name: f.default for f in dataclasses.fields(EncodeOptions)}
-    merged: Dict[str, Any] = {}
-    conflicts = []
-    for name, value in explicit.items():
-        current = getattr(options, name)
-        if current == value:
-            continue
-        if current == defaults[name]:
-            merged[name] = value
-        else:
-            conflicts.append(
-                f"{name} (options={current!r}, keyword={value!r})")
-    if conflicts:
-        raise ValueError(
-            "conflicting encode_fsm arguments — passed both in options= "
-            "and as a keyword: " + "; ".join(conflicts))
-    return options.replace(**merged) if merged else options

@@ -401,11 +401,10 @@ class BatchRunner:
         task_t0 = time.monotonic()
         try:
             from repro import cache as cache_mod
-            from repro.encoding.options import merge_options
+            from repro.encoding.options import EncodeOptions
             from repro.runner.worker import _load_fsm
 
-            opts = merge_options(None, {"algorithm": task.algorithm,
-                                        **task.options})
+            opts = EncodeOptions(algorithm=task.algorithm, **task.options)
             if not opts.storable:
                 return False
             cache = cache_mod.get_cache(opts.cache)

@@ -4,10 +4,10 @@ import pytest
 
 from repro.baselines.kiss import kiss_code
 from repro.baselines.mustang import MUSTANG_OPTIONS, _pair_weights, mustang_code
-from repro.baselines.random_search import best_random, random_assignments
 from repro.constraints.input_constraints import ConstraintSet, \
     extract_input_constraints
 from repro.encoding.base import constraint_satisfied
+from repro.eval.tables import random_columns, random_trials
 from repro.fsm.benchmarks import benchmark
 from repro.fsm.machine import minimum_code_length
 from repro.fsm.symbolic_cover import build_symbolic_cover
@@ -85,18 +85,26 @@ class TestMustang:
 
 
 class TestRandomBaseline:
+    """The random-assignment protocol of Tables III, IV and VII."""
+
     def test_default_trial_count(self):
-        encs = random_assignments(6)
-        assert len(encs) == 6
-        for e in encs:
-            assert len(set(e.codes)) == 6
+        runs = random_trials("lion", 6)
+        assert len(runs) == 6
+        for r in runs:
+            assert len(set(r.state_encoding.codes)) == 4
+        # more than 12 states: the paper's count is capped at 5 trials
+        assert len(random_trials("dk512", 16)) == 5
 
     def test_deterministic_seeding(self):
-        a = random_assignments(5, seed=7)
-        b = random_assignments(5, seed=7)
-        assert [e.codes for e in a] == [e.codes for e in b]
+        codes = [[r.state_encoding.codes
+                  for r in random_trials("lion", 5, seed=s)]
+                 for s in (7, 7, 8)]
+        assert codes[0] == codes[1]
+        assert codes[0] != codes[2]
 
     def test_best_random(self):
-        encs = random_assignments(4, trials=5)
-        best, avg = best_random(encs, lambda e: sum(e.codes))
-        assert best <= avg
+        areas = [r.area for r in random_trials("lion", 4, trials=5)]
+        cols = random_columns("lion", trials=5)
+        assert cols["best"] == min(areas)
+        assert cols["avg"] == round(sum(areas) / len(areas), 1)
+        assert cols["trials"] == 5

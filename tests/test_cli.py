@@ -101,6 +101,22 @@ class TestVerify:
                      "--algorithm", "igreedy"]) == 0
         assert "OK" in capsys.readouterr().out
 
+    def test_verify_symbolic_outputs(self, tmp_path, capsys):
+        # the output-symbol codes are part of what the PLA implements
+        from repro.fsm.kiss import to_kiss
+        from tests.test_symbolic_outputs import controller
+
+        kiss = tmp_path / "micro.kiss"
+        kiss.write_text(to_kiss(controller()))
+        assert main(["verify", str(kiss)]) == 0
+        assert "OK" in capsys.readouterr().out
+
+    def test_reports_the_answering_algorithm(self, capsys):
+        # lion9 is iexact-infeasible: ihybrid answers
+        assert main(["verify", "--benchmark", "lion9",
+                     "--algorithm", "iexact"]) == 0
+        assert "algorithm : ihybrid" in capsys.readouterr().out
+
 
 class TestFailureBehavior:
     """Exit codes, --timeout/--no-fallback, and degradation summaries."""
@@ -116,6 +132,13 @@ class TestFailureBehavior:
     def test_missing_file_is_usage_error(self, capsys):
         assert main(["encode", "/no/such/file.kiss"]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["verify", "analyze"])
+    def test_without_source_is_usage_error(self, command, capsys):
+        assert main([command]) == 2
+        err = capsys.readouterr().err
+        assert "--benchmark" in err
+        assert "Traceback" not in err
 
     def test_no_fallback_maps_infeasible_to_exit_6(self, capsys):
         # lion9's constraints are iexact-infeasible under the default

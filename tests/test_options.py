@@ -1,4 +1,4 @@
-"""EncodeOptions: validation, merge semantics, and the kwargs shim."""
+"""EncodeOptions: validation, and the two call shapes of encode_fsm."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ from repro.encoding.options import (
     ALGORITHMS,
     CACHE_POLICIES,
     EncodeOptions,
-    merge_options,
 )
 from repro.fsm.benchmarks import benchmark
 
@@ -85,36 +84,39 @@ class TestFingerprintFields:
 
 
 class TestMerge:
-    def test_kwargs_only(self):
-        o = merge_options(None, {"algorithm": "iexact", "nbits": 3})
-        assert o.algorithm == "iexact" and o.nbits == 3
+    """encode_fsm takes keywords or ``options=``, and never merges them."""
 
-    def test_options_only(self):
+    @staticmethod
+    def _options_passed(monkeypatch, *args, **kwargs):
+        from repro.encoding import nova
+
+        seen = []
+        monkeypatch.setattr(nova, "_cached_encode",
+                            lambda fsm, opts: seen.append(opts))
+        encode_fsm(benchmark("lion"), *args, **kwargs)
+        return seen[0]
+
+    def test_kwargs_only(self, monkeypatch):
+        o = self._options_passed(monkeypatch, "iexact", nbits=3)
+        assert o == EncodeOptions(algorithm="iexact", nbits=3)
+
+    def test_options_only(self, monkeypatch):
         base = EncodeOptions(algorithm="iexact")
-        assert merge_options(base, {}) is base
-
-    def test_kwarg_fills_default_field(self):
-        o = merge_options(EncodeOptions(algorithm="iexact"), {"nbits": 4})
-        assert o.algorithm == "iexact" and o.nbits == 4
-
-    def test_kwarg_restating_same_value_ok(self):
-        base = EncodeOptions(algorithm="iexact")
-        assert merge_options(base, {"algorithm": "iexact"}) is base
+        assert self._options_passed(monkeypatch, options=base) is base
 
     def test_conflict_raises(self):
+        # any keyword next to options= is refused, whether it would
+        # fill a default field, restate the same value, or disagree
         base = EncodeOptions(algorithm="iexact")
-        with pytest.raises(ValueError, match="conflicting"):
-            merge_options(base, {"algorithm": "igreedy"})
-
-    def test_conflict_names_every_field(self):
-        base = EncodeOptions(algorithm="iexact", effort="low")
-        with pytest.raises(ValueError) as ei:
-            merge_options(base, {"algorithm": "igreedy", "effort": "full"})
-        assert "algorithm" in str(ei.value) and "effort" in str(ei.value)
+        for args, kwargs in ((("iexact",), {}), ((), {"nbits": 4}),
+                             ((), {"effort": "full"})):
+            with pytest.raises(TypeError, match="not both"):
+                encode_fsm(benchmark("lion"), *args, options=base, **kwargs)
 
     def test_non_options_rejected(self):
-        with pytest.raises(TypeError):
-            merge_options({"algorithm": "iexact"}, {})  # type: ignore
+        with pytest.raises(TypeError, match="EncodeOptions"):
+            encode_fsm(benchmark("lion"),
+                       options={"algorithm": "iexact"})  # type: ignore
 
 
 class TestEncodeFsmShim:
@@ -128,9 +130,15 @@ class TestEncodeFsmShim:
 
     def test_conflicting_kwarg_and_options(self):
         fsm = benchmark("lion")
-        with pytest.raises(ValueError, match="conflicting"):
+        with pytest.raises(TypeError, match="not both"):
             encode_fsm(fsm, "igreedy",
                        options=EncodeOptions(algorithm="iexact"))
+
+    def test_removed_fields_rejected(self):
+        # verify and evaluate left EncodeOptions in 2.0
+        for name in ("verify", "evaluate"):
+            with pytest.raises(TypeError, match=name):
+                encode_fsm(benchmark("lion"), "ihybrid", **{name: False})
 
     def test_rng_keyword_is_gone(self):
         # stochastic runs take seed=; a live random.Random is rejected
