@@ -104,14 +104,36 @@ class TestMerge:
         base = EncodeOptions(algorithm="iexact")
         assert self._options_passed(monkeypatch, options=base) is base
 
+    def test_kwarg_fills_default_field(self):
+        # options= is taken whole: a keyword cannot fill one of its
+        # default fields
+        with pytest.raises(TypeError, match="not both"):
+            encode_fsm(benchmark("lion"),
+                       options=EncodeOptions(algorithm="iexact"), nbits=4)
+
+    def test_kwarg_restating_same_value_ok(self, monkeypatch):
+        # in the keyword shape, restating a default builds the same
+        # (equal, same-hash) options as leaving it out
+        o = self._options_passed(monkeypatch, "iexact", nbits=None,
+                                 effort="full", fallback=True)
+        assert o == EncodeOptions(algorithm="iexact")
+        assert hash(o) == hash(EncodeOptions(algorithm="iexact"))
+
     def test_conflict_raises(self):
-        # any keyword next to options= is refused, whether it would
-        # fill a default field, restate the same value, or disagree
+        # any keyword next to options= is refused, whether it restates
+        # the same value or disagrees
         base = EncodeOptions(algorithm="iexact")
-        for args, kwargs in ((("iexact",), {}), ((), {"nbits": 4}),
+        for args, kwargs in ((("iexact",), {}), (("igreedy",), {}),
                              ((), {"effort": "full"})):
             with pytest.raises(TypeError, match="not both"):
                 encode_fsm(benchmark("lion"), *args, options=base, **kwargs)
+
+    def test_conflict_names_every_field(self):
+        base = EncodeOptions(algorithm="iexact", effort="low")
+        with pytest.raises(TypeError) as ei:
+            encode_fsm(benchmark("lion"), "igreedy", options=base,
+                       effort="full")
+        assert "algorithm" in str(ei.value) and "effort" in str(ei.value)
 
     def test_non_options_rejected(self):
         with pytest.raises(TypeError, match="EncodeOptions"):
