@@ -58,7 +58,9 @@ from repro.cache.codec import (
     PAYLOAD_VERSION,
     CacheDecodeError,
     decode_result,
+    encode_pla,
     encode_result,
+    make_payload,
 )
 from repro.cache.fingerprint import (
     FINGERPRINT_SCHEMA,
@@ -89,10 +91,12 @@ __all__ = [
     "canonical_fsm",
     "canonical_options",
     "decode_result",
+    "encode_pla",
     "encode_result",
     "fingerprint",
     "get_cache",
     "lookup",
+    "make_payload",
     "reset",
     "store",
 ]

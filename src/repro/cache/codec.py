@@ -41,7 +41,8 @@ def _enc_cover(c: Cover) -> List[str]:
     return [format(cube, "x") for cube in c.cubes]
 
 
-def _enc_pla(pla: Optional[EncodedPLA]) -> Optional[Dict]:
+def encode_pla(pla: Optional[EncodedPLA]) -> Optional[Dict]:
+    """The JSON-safe form of a minimized PLA, its four covers in hex."""
     if pla is None:
         return None
     return {
@@ -56,12 +57,15 @@ def _enc_pla(pla: Optional[EncodedPLA]) -> Optional[Dict]:
     }
 
 
+def make_payload(record: Dict, pla: Optional[Dict]) -> Dict:
+    """The cache payload layout: the payload version, a result's journal
+    record (:meth:`NovaResult.to_record`) and its :func:`encode_pla`."""
+    return {"v": PAYLOAD_VERSION, **record, "pla": pla}
+
+
 def encode_result(result: NovaResult) -> Dict:
-    """The JSON-safe cache payload for *result*: its journal record
-    (:meth:`NovaResult.to_record`) plus the payload version and the
-    minimized PLA."""
-    return {"v": PAYLOAD_VERSION, **result.to_record(),
-            "pla": _enc_pla(result.pla)}
+    """The JSON-safe cache payload for *result*."""
+    return make_payload(result.to_record(), encode_pla(result.pla))
 
 
 # ----------------------------------------------------------------------

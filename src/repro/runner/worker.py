@@ -128,11 +128,12 @@ def _run_encode(spec: Dict) -> Dict:
     if spec.get("want_payload"):
         # the encode service warms its own in-process cache tier from
         # this (the worker's memory LRU is not the service's), under
-        # the encode path's own fill rule
+        # the encode path's own fill rule; it rebuilds the payload from
+        # the record above and this PLA, so the record travels once
         from repro import cache as cache_mod
 
         if cache_mod.cacheable(result):
-            out["payload"] = cache_mod.encode_result(result)
+            out["pla"] = cache_mod.encode_pla(result.pla)
     return out
 
 

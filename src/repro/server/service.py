@@ -234,8 +234,8 @@ class EncodeService:
 
     def _warm_own_cache(self, fsm: FSM, opts: EncodeOptions, rung: str,
                         cooperative: Optional[float],
-                        payload: Optional[Dict]) -> None:
-        """Put a worker's result payload into this process's memory tier.
+                        outcome: Dict) -> None:
+        """Put a worker's result into this process's memory tier.
 
         The worker already filled the shared *disk* tier (when the
         policy has one), but its in-process LRU is the worker's, not
@@ -245,14 +245,18 @@ class EncodeService:
         actually ran with — identical to the request fingerprint on the
         first rung, distinct for retry rungs (their algorithm/timeout
         changed, which is correct: they are different pure results).
-        A payload only comes back for storable options that
-        :func:`repro.cache.cacheable` admitted (:meth:`_spec`).
+        The outcome carries the encoded PLA (``pla``) only for storable
+        options that :func:`repro.cache.cacheable` admitted
+        (:meth:`_spec`); the payload is that PLA and the record the
+        answer already holds.
         """
         cache = cache_mod.get_cache(opts.cache)
-        if payload is None or cache is None:
+        if "pla" not in outcome or cache is None:
             return
         used = opts.replace(algorithm=rung, timeout=cooperative)
-        cache.memory.put(cache_mod.fingerprint(fsm, used), payload)
+        cache.memory.put(cache_mod.fingerprint(fsm, used),
+                         cache_mod.make_payload(outcome["record"],
+                                                outcome["pla"]))
 
     async def _run_ladder(self, fsm: FSM, kiss_text: Optional[str],
                           opts: EncodeOptions,
@@ -298,7 +302,7 @@ class EncodeService:
             attempts.append(attempt_record(outcome))
             if status in ("ok", "degraded"):
                 self._warm_own_cache(fsm, opts, rung, cooperative,
-                                     outcome.get("payload"))
+                                     outcome)
                 return {"status": status,
                         "record": outcome.get("record"),
                         "perf": outcome.get("perf") or {},

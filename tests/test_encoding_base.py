@@ -34,7 +34,7 @@ class TestEncoding:
     def test_unused_codes(self):
         enc = Encoding(2, [0, 3])
         assert enc.unused_codes() == [1, 2]
-        assert enc.used_codes() == [0, 3]
+        assert enc.codes == [0, 3]
 
     def test_widen(self):
         enc = Encoding(2, [0, 1]).widen([1, 0])

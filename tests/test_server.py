@@ -301,6 +301,53 @@ def test_warm_requests_are_served_while_saturated():
     assert svc.stats.shed >= 1  # ...but the warm answer still went out
 
 
+def test_cold_answer_warms_the_memory_tier_from_its_record():
+    """The worker ships the record once, plus the PLA; the warmed
+    payload decodes to exactly the record served cold, which matches an
+    in-process encode, and the repeat is a memory hit."""
+    from repro import cache as cache_mod
+    from repro.cache.codec import decode_result
+
+    svc = make_service()
+    body = {"machine": "lion9", "options": {"algorithm": "ihybrid",
+                                            "cache": "memory"}}
+
+    async def scenario():
+        try:
+            cold = await svc.handle_encode(dict(body))
+            warm = await svc.handle_encode(dict(body))
+            return cold, warm
+        finally:
+            svc.shutdown()
+
+    cold, warm = run(scenario())
+    assert cold.status == 200 and cold.body["cache"] is None
+    record = cold.body["record"]
+    payload = cache_mod.get_cache("memory").memory.get(
+        cold.body["fingerprint"])
+    assert payload == cache_mod.make_payload(record, payload["pla"])
+    assert decode_result(benchmark("lion9"), payload).to_record() == record
+    solo = encode_fsm(benchmark("lion9"), "ihybrid", cache="off")
+    assert strip_provenance(record) == strip_provenance(solo.to_record())
+
+    assert warm.status == 200 and warm.body["cache"] == "memory"
+    assert svc.stats.cache_memory_hits == 1
+    assert svc.stats.worker_spawns == 1
+    assert strip_provenance(warm.body["record"]) == strip_provenance(record)
+
+
+def test_worker_outcome_carries_the_record_once():
+    from repro.runner.worker import execute
+
+    spec = {"task": "lion9", "machine": "lion9", "algorithm": "ihybrid",
+            "kind": "encode", "options": {"cache": "off"}}
+    plain = execute(spec)
+    warmed = execute(dict(spec, want_payload=True))
+    assert "pla" not in plain and "payload" not in plain
+    assert "payload" not in warmed
+    assert warmed["pla"]["cover"] and warmed["record"]["area"] > 0
+
+
 def test_degraded_results_are_not_cached():
     svc = make_service()
     body = {"machine": "dk16", "options": {
