@@ -36,10 +36,6 @@ class Encoding:
     def as_bits(self, symbol: int) -> str:
         return format(self.codes[symbol], f"0{self.nbits}b")
 
-    def unused_codes(self) -> List[int]:
-        used = set(self.codes)
-        return [c for c in range(1 << self.nbits) if c not in used]
-
     def widen(self, new_bits: Iterable[int]) -> "Encoding":
         """Append one MSB per symbol (used by ``project_code``)."""
         bits = list(new_bits)

@@ -184,12 +184,6 @@ class Cover:
         """True when this cover covers every cube of *other*."""
         return all(self.contains_cube(c) for c in other.cubes)
 
-    def complement(self) -> "Cover":
-        """Complement of the cover (unate-recursive paradigm)."""
-        from repro.logic.urp import complement
-
-        return complement(self)
-
     def is_tautology(self) -> bool:
         from repro.logic.urp import tautology
 

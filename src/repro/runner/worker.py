@@ -16,13 +16,23 @@ collector.  Everything crossing the pipe is primitives — no FSM, no
 covers — so transport can never hit a pickling edge case.
 
 Workers are reused, which saves interpreter start-up on every attempt
-after a worker's first: ~0.05 s for the interpreter and ``site``,
+after a worker's first: ~0.05 s for the interpreter and ``site``, and
 ~0.03 s to import this module (the packages on the way re-export
-lazily, :mod:`repro._lazy`), and ~0.05 s to compile the encode
-pipeline on the first encode — from source on every start when
-``PYTHONDONTWRITEBYTECODE`` is set.  A worker
-*retires* — exits, and is never handed another spec — after any
-attempt whose spec armed faults or whose outcome was not
+lazily, :mod:`repro._lazy`).  The first encode of a worker also loads
+the pipeline, ~40 more ``repro`` modules for an ihybrid encode of lion.
+On a 2-vCPU host that first attempt took 0.09-0.14 s inside a worker
+that compiled them from source (under ``PYTHONDONTWRITEBYTECODE`` no
+``.pyc`` ever saves that), 0.03-0.04 s in one handed their code, and
+0.004 s warm.  So a parent keeps the code its workers compiled and ships
+it to every worker it starts later (:data:`_CODE`, :class:`_CodeFinder`):
+``repro.*`` modules only, each served only while
+``importlib.util.source_hash`` of its source on disk still matches (the
+checked hash-pyc rule), only to workers running the parent's
+executable (what spawn starts), and nothing is written to disk.  A
+worker reports what it compiled as ``modules_compiled``; after a
+parent's first workers that reads 0.  A worker *retires* — exits, and
+is never handed another spec — after any attempt whose spec armed
+faults or whose outcome was not
 ``ok``/``degraded`` (:func:`reusable`); both ends apply that rule, so
 an interpreter that may be poisoned never serves another task.  If the
 process dies without sending (a hard hang killed by the parent, an
@@ -41,7 +51,12 @@ attempt ends with the worker's own report, ``crashed`` on EOF, or
 
 from __future__ import annotations
 
+from importlib.machinery import PathFinder, SourceFileLoader
+from importlib.util import source_hash
+import marshal
 from multiprocessing.connection import wait as conn_wait
+import sys
+import threading
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -62,6 +77,15 @@ KILLED_TIMEOUT = "timeout"
 #: responses alike).
 ATTEMPT_KEYS = ("algorithm", "status", "killed", "exitcode", "error",
                 "elapsed", "pid")
+
+#: Code of the ``repro`` modules this process's workers compiled:
+#: source path -> (``source_hash`` of the source, marshalled code).
+#: Each worker started later gets a copy in its ``Process`` args.
+_CODE: Dict[str, Tuple[bytes, bytes]] = {}
+
+#: Outcome key under which a worker sends back the code it compiled;
+#: :meth:`Worker.recv` pops it into :data:`_CODE`.
+_CODE_KEY = "compiled_code"
 
 
 def reusable(spec: Dict, outcome: Dict) -> bool:
@@ -147,15 +171,66 @@ def _run_table(spec: Dict) -> Dict:
     return {"status": "ok", "record": {"row": row}}
 
 
-def child_main(conn) -> None:
+class _CodeLoader(SourceFileLoader):
+    """A source loader that serves shipped code while its source hash
+    matches, and otherwise loads as usual and remembers the result."""
+
+    def __init__(self, fullname: str, path: str,
+                 finder: "_CodeFinder") -> None:
+        super().__init__(fullname, path)
+        self.finder = finder
+
+    def get_code(self, fullname):
+        path = self.get_filename(fullname)
+        digest = source_hash(self.get_data(path))
+        entry = self.finder.shipped.get(path)
+        if entry is not None and entry[0] == digest:
+            return marshal.loads(entry[1])
+        code = super().get_code(fullname)  # a valid .pyc, else source
+        self.finder.learned[path] = (digest, marshal.dumps(code))
+        return code
+
+    def source_to_code(  # type: ignore[override, misc]
+            self, data, path="<string>", *, _optimize=-1):
+        if perf.STATS is not None:
+            perf.STATS.modules_compiled += 1
+        return super().source_to_code(data, path, _optimize=_optimize)
+
+
+class _CodeFinder:
+    """Meta-path finder for ``repro.*`` in a worker: the normal
+    :class:`PathFinder` locates the module, :class:`_CodeLoader` loads
+    it.  Every other import, and any ``repro`` module that is not a
+    source file, is left to the normal path."""
+
+    def __init__(self, shipped: Dict[str, Tuple[bytes, bytes]]) -> None:
+        self.shipped = shipped
+        self.learned: Dict[str, Tuple[bytes, bytes]] = {}
+
+    def find_spec(self, fullname, path=None, target=None):
+        if fullname.partition(".")[0] != "repro":
+            return None
+        spec = PathFinder.find_spec(fullname, path, target)
+        if spec is None or type(spec.loader) is not SourceFileLoader:
+            return None
+        spec.loader = _CodeLoader(fullname, spec.origin, self)
+        return spec
+
+
+def child_main(conn, code: Dict[str, Tuple[bytes, bytes]]) -> None:
     """Worker-process entry: run specs from *conn* until retired.
 
-    Exits when the parent closes its end (EOF) or after an attempt
-    that :func:`reusable` rejects.  Must stay exception-proof: any
-    error that escapes ``execute`` is itself serialized, and a send
-    failure (parent already gone) exits quietly — an orphan must never
-    corrupt anything.
+    *code* is the parent's :data:`_CODE` (spawn runs the parent's
+    executable, so its marshal format is this interpreter's); code the
+    worker compiles beyond it rides back on its next outcome.  Exits
+    when the parent closes its end (EOF) or after an attempt that
+    :func:`reusable` rejects.  Must stay exception-proof: any error
+    that escapes ``execute`` is itself serialized, and a send failure
+    (parent already gone) exits quietly — an orphan must never corrupt
+    anything.
     """
+    finder = _CodeFinder(code)
+    sys.meta_path.insert(0, finder)
     try:
         while True:
             try:
@@ -169,6 +244,8 @@ def child_main(conn) -> None:
                            "algorithm": spec.get("algorithm"),
                            "status": "error", "error": error_to_dict(exc),
                            "perf": {}, "elapsed": 0.0}
+            if finder.learned:
+                outcome[_CODE_KEY], finder.learned = finder.learned, {}
             conn.send(outcome)
             if not reusable(spec, outcome):
                 return
@@ -186,27 +263,56 @@ class Worker:
     :attr:`reusable` says whether the worker may take the next spec or
     must be retired.  :meth:`kill` is the one method safe to call from
     a thread that does not own the worker (the pool's shutdown).
+
+    The process starts on a short-lived thread: ``start()`` returns
+    only once the child has read its args, shipped code included, and
+    the caller need not wait for that to start the next worker or to
+    send a spec.  Everything that touches the process joins that
+    thread first.
     """
 
     def __init__(self, ctx) -> None:
         self.conn, child_end = ctx.Pipe()
-        self.proc = ctx.Process(target=child_main, args=(child_end,),
+        self.proc = ctx.Process(target=child_main,
+                                args=(child_end, dict(_CODE)),
                                 daemon=True)
-        self.proc.start()
-        child_end.close()  # keep only the parent's end: EOF is reliable
+        self._start_error: Optional[Exception] = None
+        self._starter = threading.Thread(target=self._start,
+                                         args=(child_end,), daemon=True)
+        self._starter.start()
         self._spec: Dict = {}
         self.reusable = False
 
+    def _start(self, child_end) -> None:
+        try:
+            self.proc.start()
+        except Exception as exc:  # re-raised by _started()
+            self._start_error = exc
+        finally:
+            child_end.close()  # keep only the parent's end: EOF is reliable
+
+    def _started(self) -> bool:
+        """Wait for the start; whether the process was started.  A
+        failed start raises its error to the first caller, after which
+        the worker reads as a process that is gone."""
+        self._starter.join()
+        error, self._start_error = self._start_error, None
+        if error is not None:
+            raise error
+        return self.proc.ident is not None
+
     @property
     def pid(self) -> Optional[int]:
+        self._started()
         return self.proc.pid
 
     @property
     def exitcode(self) -> Optional[int]:
+        self._started()
         return self.proc.exitcode
 
     def alive(self) -> bool:
-        return self.proc.is_alive()
+        return self._started() and self.proc.is_alive()
 
     def send(self, spec: Dict) -> None:
         """Start one attempt.  A worker that died while idle cannot
@@ -221,20 +327,23 @@ class Worker:
     def recv(self) -> Optional[Dict]:
         """The attempt's outcome once :attr:`conn` is ready, or None if
         the worker died without one (it is then retired and reaped, so
-        :attr:`exitcode` is set)."""
+        :attr:`exitcode` is set).  Code the worker compiled goes into
+        :data:`_CODE` and off the outcome."""
         try:
             outcome = self.conn.recv()
         except (EOFError, OSError):
             self.retire()
             return None
+        _CODE.update(outcome.pop(_CODE_KEY, None) or {})
         self.reusable = reusable(self._spec, outcome)
         return outcome
 
     def kill(self) -> None:
         """SIGKILL the process and reap it.  The owner still calls
         :meth:`retire` to release the pipe."""
-        self.proc.kill()
-        self.proc.join()
+        if self._started():
+            self.proc.kill()
+            self.proc.join()
 
     def retire(self, kill: bool = False) -> None:
         """Close the pipe and reap the process; it is never reused.
@@ -246,6 +355,8 @@ class Worker:
         if kill:
             self.kill()
         self.conn.close()
+        if not self._started():
+            return
         self.proc.join(RETIRE_GRACE)
         if self.proc.is_alive():  # pragma: no cover - wedged on exit
             self.kill()

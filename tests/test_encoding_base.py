@@ -33,7 +33,6 @@ class TestEncoding:
 
     def test_unused_codes(self):
         enc = Encoding(2, [0, 3])
-        assert enc.unused_codes() == [1, 2]
         assert enc.codes == [0, 3]
 
     def test_widen(self):

@@ -6,18 +6,31 @@ faults takes the next task; any other attempt retires it (or it is
 already dead: killed or crashed), so the next attempt runs on a new
 pid.  The journal records each attempt's worker pid, which is what
 these tests read.
+
+A parent also ships the code its workers compiled to the workers it
+starts later; the last section checks which code is served, that a
+replacement worker compiles nothing, and that nothing is written.
 """
 
 import asyncio
+from importlib.machinery import SourceFileLoader
+from importlib.util import source_hash
+import json
+import marshal
 import multiprocessing
 import os
+from pathlib import Path
+import subprocess
+import sys
 
 import pytest
 
+from repro import perf
 from repro.encoding.nova import encode_fsm
 from repro.fsm.benchmarks import SMALL, benchmark
 from repro.runner import BatchRunner, BatchTask
-from repro.runner.worker import reusable
+from repro.runner import worker as worker_mod
+from repro.runner.worker import Attempt, Worker, reusable, watch
 from repro.server import EncodeService, WorkerPool
 from repro.server.stats import ServerStats
 from repro.testing.faults import Fault
@@ -205,3 +218,249 @@ def test_pool_retires_a_worker_after_an_error(tmp_path):
     finally:
         pool.shutdown()
     assert multiprocessing.active_children() == []
+
+
+# ----------------------------------------------------------------------
+# compiled code shipped from the parent to later workers
+# ----------------------------------------------------------------------
+SRC = Path(__file__).resolve().parents[1] / "src"
+LION = {"task": "lion", "machine": "lion", "algorithm": "ihybrid",
+        "kind": "encode", "options": {"cache": "off"}}
+
+
+def _compiled(outcome):
+    return outcome["perf"].get("modules_compiled", 0)
+
+
+def _attempt(worker, spec):
+    """Run *spec* on *worker* through the shared watcher."""
+    attempt = Attempt(worker, spec, 60.0)
+    while True:
+        for _, outcome in watch([attempt], 1.0):
+            return outcome
+
+
+def test_second_worker_compiles_nothing_and_sends_nothing(monkeypatch):
+    monkeypatch.setattr(worker_mod, "_CODE", {})
+    ctx = multiprocessing.get_context("spawn")
+    first = Worker(ctx)
+    try:
+        assert _attempt(first, LION)["status"] == "ok"
+    finally:
+        first.retire()
+    shipped = dict(worker_mod._CODE)
+    nova_py = str(SRC / "repro" / "encoding" / "nova.py")
+    assert nova_py in shipped
+    assert all(Path(path).is_relative_to(SRC / "repro") for path in shipped)
+
+    second = Worker(ctx)
+    try:
+        second.send(LION)
+        raw = second.conn.recv()  # before Worker.recv pops anything
+    finally:
+        second.retire()
+    assert raw["status"] == "ok"
+    assert _compiled(raw) == 0
+    assert worker_mod._CODE_KEY not in raw
+    assert worker_mod._CODE == shipped
+    direct = encode_fsm(benchmark("lion"), "ihybrid", cache="off")
+    assert _signature(raw["record"]) == _signature(direct.to_record())
+
+
+def test_code_is_served_only_while_the_source_hash_matches(tmp_path):
+    path = tmp_path / "probe.py"
+    path.write_text("VALUE = 'on disk'\n")
+    stale = marshal.dumps(compile("VALUE = 'shipped'\n", str(path), "exec"))
+    digest = source_hash(path.read_bytes())
+
+    def load(shipped_hash):
+        finder = worker_mod._CodeFinder({str(path): (shipped_hash, stale)})
+        loader = worker_mod._CodeLoader("repro.probe", str(path), finder)
+        with perf.collect() as stats:
+            namespace = {}
+            exec(loader.get_code("repro.probe"), namespace)
+        return namespace["VALUE"], stats.modules_compiled, finder.learned
+
+    value, compiled, learned = load(digest)
+    assert (value, compiled, learned) == ("shipped", 0, {})
+
+    value, compiled, learned = load(b"\0" * 8)
+    assert (value, compiled) == ("on disk", 1)
+    assert list(learned) == [str(path)]
+    assert learned[str(path)][0] == digest
+    fresh = {}
+    exec(marshal.loads(learned[str(path)][1]), fresh)
+    assert fresh["VALUE"] == "on disk"
+
+
+def test_stale_shipped_module_is_compiled_fresh(monkeypatch):
+    """A shipped entry for a real pipeline module whose hash does not
+    match would break every encode if it were served."""
+    nova_py = str(SRC / "repro" / "encoding" / "nova.py")
+    broken = marshal.dumps(compile("raise RuntimeError('stale code')",
+                                   nova_py, "exec"))
+    monkeypatch.setattr(worker_mod, "_CODE",
+                        {nova_py: (b"\0" * 8, broken)})
+    worker = Worker(multiprocessing.get_context("spawn"))
+    try:
+        outcome = _attempt(worker, LION)
+    finally:
+        worker.retire()
+    assert outcome["status"] == "ok", outcome.get("error")
+    source = Path(nova_py).read_bytes()
+    assert worker_mod._CODE[nova_py][0] == source_hash(source)
+
+
+def test_finder_leaves_other_imports_to_the_normal_path(tmp_path,
+                                                       monkeypatch):
+    finder = worker_mod._CodeFinder({})
+    for name in ("json", "multiprocessing.connection", "reprox",
+                 "repro_probe"):
+        assert finder.find_spec(name) is None, name
+    import repro.encoding
+
+    spec = finder.find_spec("repro.encoding.nova", repro.encoding.__path__)
+    assert isinstance(spec.loader, worker_mod._CodeLoader)
+    assert spec.origin == str(SRC / "repro" / "encoding" / "nova.py")
+
+    (tmp_path / "repro_probe.py").write_text("VALUE = 1\n")
+    monkeypatch.syspath_prepend(str(tmp_path))
+    monkeypatch.setattr(sys, "meta_path", [finder] + sys.meta_path)
+    monkeypatch.delitem(sys.modules, "repro_probe", raising=False)
+    import repro_probe
+
+    assert type(repro_probe.__loader__) is SourceFileLoader
+    assert finder.learned == {}
+    monkeypatch.delitem(sys.modules, "repro_probe")
+
+
+def _replacement_tasks(spoiler):
+    """lion, a spoiler that ends its worker, then lion on a new one."""
+    return [BatchTask(machine="lion", options={"cache": "off"}), spoiler,
+            BatchTask(machine="lion", options={"cache": "off"},
+                      task_id="lion-again")]
+
+
+@pytest.mark.parametrize("spoiler", ["armed", "timeout"])
+def test_replacement_batch_worker_gets_the_code(tmp_path, spoiler):
+    if spoiler == "armed":
+        fault = Fault("encode", exc=ValueError,
+                      match={"algorithm": "no-such-rung"})
+    else:
+        fault = Fault("encode", action="sleep", seconds=60)
+    tasks = _replacement_tasks(BatchTask(
+        machine="train4", options={"cache": "off"},
+        faults=[fault.to_dict()]))
+    report = _run(tasks, tmp_path / "run", task_timeout=5.0)
+    (p_first,), (p_spoiled,), (p_after,) = _pids(report, tasks)
+    assert p_spoiled == p_first and p_after != p_first
+    again = report.entry_for("lion-again")
+    assert again["status"] == "ok"
+    assert again["perf"].get("modules_compiled", 0) == 0
+    direct = encode_fsm(benchmark("lion"), "ihybrid", cache="off")
+    assert _signature(again["record"]) == _signature(direct.to_record())
+
+
+def test_replacement_pool_worker_gets_the_code(monkeypatch):
+    monkeypatch.setattr(worker_mod, "_CODE", {})
+    stats = ServerStats()
+    pool = WorkerPool(stats=stats)
+    crash = dict(LION, faults=[Fault("encode", action="exit").to_dict()])
+
+    async def scenario():
+        return [await pool.run(spec, None) for spec in (LION, crash, LION)]
+
+    try:
+        first, crashed, after = asyncio.run(scenario())
+    finally:
+        pool.shutdown()
+    assert multiprocessing.active_children() == []
+    assert (first["status"], crashed["status"], after["status"]) == \
+        ("ok", "crashed", "ok")
+    assert stats.worker_starts == 2
+    assert after["pid"] != first["pid"]
+    # the first worker's code went into the map, not into its outcome
+    assert worker_mod._CODE
+    assert all(worker_mod._CODE_KEY not in outcome
+               for outcome in (first, crashed, after))
+    assert _compiled(after) == 0
+    direct = encode_fsm(benchmark("lion"), "ihybrid", cache="off")
+    assert _signature(after["record"]) == _signature(direct.to_record())
+
+
+def test_concurrent_cold_workers_fill_one_map(monkeypatch):
+    """More cold pool workers than cores start and report at once, with
+    thread switches forced often: no worker's code may be lost from the
+    map, so a worker started afterwards compiles nothing."""
+    monkeypatch.setattr(worker_mod, "_CODE", {})
+    switch = sys.getswitchinterval()
+
+    async def burst(pool, n):
+        return await asyncio.gather(*[pool.run(LION, 60.0)
+                                      for _ in range(n)])
+
+    sys.setswitchinterval(1e-5)
+    try:
+        pool = WorkerPool(stats=ServerStats())
+        try:
+            cold = asyncio.run(burst(pool, 4))
+        finally:
+            pool.shutdown()
+        pool = WorkerPool(stats=ServerStats())
+        try:
+            (later,) = asyncio.run(burst(pool, 1))
+        finally:
+            pool.shutdown()
+    finally:
+        sys.setswitchinterval(switch)
+    assert multiprocessing.active_children() == []
+    assert len({o["pid"] for o in cold}) == 4
+    assert all(o["status"] == "ok" for o in cold + [later])
+    assert _compiled(later) == 0
+    direct = _signature(encode_fsm(benchmark("lion"), "ihybrid",
+                                   cache="off").to_record())
+    assert all(_signature(o["record"]) == direct for o in cold + [later])
+
+
+# the imports sit under the guard: a spawned worker re-imports this
+# script's top level before its code finder is installed
+_NO_WRITE_SCRIPT = """
+import json, sys
+
+if __name__ == "__main__":
+    from repro.runner import BatchRunner, BatchTask
+
+    compiled = []
+    for run in ("first", "second"):
+        tasks = [BatchTask(machine=m, options={"cache": "off"})
+                 for m in ("lion", "dk27")]
+        report = BatchRunner(tasks, sys.argv[1] + "/" + run, jobs=1,
+                             retries=0).run()
+        assert report.ok
+        compiled.append(report.perf.modules_compiled)
+    print(json.dumps(compiled))
+"""
+
+
+def _tree(root):
+    return {str(p.relative_to(root)): p.stat().st_mtime_ns
+            for p in root.rglob("*")}
+
+
+def test_batch_under_dont_write_bytecode_writes_nothing(tmp_path):
+    script = tmp_path / "two_runs.py"
+    script.write_text(_NO_WRITE_SCRIPT)
+    env = {k: v for k, v in os.environ.items()
+           if k != "PYTHONPYCACHEPREFIX"}
+    env.update(PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=str(SRC) + os.pathsep + env.get("PYTHONPATH", ""))
+    before = _tree(SRC)
+    proc = subprocess.run([sys.executable, str(script), str(tmp_path)],
+                          capture_output=True, text=True, env=env,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert _tree(SRC) == before
+    first, second = json.loads(proc.stdout.splitlines()[-1])
+    if not any(SRC.rglob("*.pyc")):  # nothing to load but the sources
+        assert first > 0
+    assert second == 0
