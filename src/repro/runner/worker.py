@@ -30,9 +30,19 @@ it to every worker it starts later (:data:`_CODE`, :class:`_CodeFinder`):
 checked hash-pyc rule), only to workers running the parent's
 executable (what spawn starts), and nothing is written to disk.  A
 worker reports what it compiled as ``modules_compiled``; after a
-parent's first workers that reads 0.  A worker *retires* — exits, and
-is never handed another spec — after any attempt whose spec armed
-faults or whose outcome was not
+parent's first workers that reads 0.  So only a worker started after an
+earlier worker of the same process has reported gains: a replacement
+(after a retire, a timeout kill or a crash), a service pool worker
+started when concurrency grows, or any worker of a later run in a
+process that runs several (a library caller).  The first workers of a
+process still compile, and in a healthy one-shot ``nova batch``,
+``nova table`` or ``nova bench run`` those are all of them.  What spawn
+imports before :func:`child_main` (``__mp_main__``: ``repro.cli`` and
+its imports under ``nova``) is compiled in every worker and never
+shipped; DESIGN §6.6 has the measured shares.
+
+A worker *retires* — exits, and is never handed another spec — after
+any attempt whose spec armed faults or whose outcome was not
 ``ok``/``degraded`` (:func:`reusable`); both ends apply that rule, so
 an interpreter that may be poisoned never serves another task.  If the
 process dies without sending (a hard hang killed by the parent, an
@@ -179,21 +189,32 @@ class _CodeLoader(SourceFileLoader):
                  finder: "_CodeFinder") -> None:
         super().__init__(fullname, path)
         self.finder = finder
+        self._compiled: Optional[bytes] = None  # source_to_code's input
 
     def get_code(self, fullname):
         path = self.get_filename(fullname)
-        digest = source_hash(self.get_data(path))
+        source = self.get_data(path)
         entry = self.finder.shipped.get(path)
-        if entry is not None and entry[0] == digest:
+        if entry is not None and entry[0] == source_hash(source):
             return marshal.loads(entry[1])
+        self._compiled = None
         code = super().get_code(fullname)  # a valid .pyc, else source
-        self.finder.learned[path] = (digest, marshal.dumps(code))
+        # the learned hash is that of the bytes the code came from: the
+        # ones compiled, or the source a .pyc was valid for if it did
+        # not change meanwhile
+        data = self._compiled
+        if data is None and self.get_data(path) == source:
+            data = source
+        if data is not None:
+            self.finder.learned[path] = (source_hash(data),
+                                         marshal.dumps(code))
         return code
 
     def source_to_code(  # type: ignore[override, misc]
             self, data, path="<string>", *, _optimize=-1):
         if perf.STATS is not None:
             perf.STATS.modules_compiled += 1
+        self._compiled = data
         return super().source_to_code(data, path, _optimize=_optimize)
 
 
@@ -268,7 +289,8 @@ class Worker:
     only once the child has read its args, shipped code included, and
     the caller need not wait for that to start the next worker or to
     send a spec.  Everything that touches the process joins that
-    thread first.
+    thread first, :attr:`pid` included, so a caller reads it before
+    taking a lock that other threads wait on.
     """
 
     def __init__(self, ctx) -> None:

@@ -100,8 +100,9 @@ class WorkerPool:
         started = worker is None
         if worker is None:
             worker = Worker(self._ctx)
+        pid = worker.pid  # waits for a new worker's start: not under the lock
         with self._lock:
-            self._busy[worker.pid] = worker
+            self._busy[pid] = worker
             closing = self._closing.is_set()
         if closing:  # shutdown ran while this worker was starting
             self._checkin(worker)

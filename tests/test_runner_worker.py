@@ -22,6 +22,8 @@ import os
 from pathlib import Path
 import subprocess
 import sys
+import threading
+import time
 
 import pytest
 
@@ -293,6 +295,33 @@ def test_code_is_served_only_while_the_source_hash_matches(tmp_path):
     assert fresh["VALUE"] == "on disk"
 
 
+def test_learned_hash_is_that_of_the_compiled_source(tmp_path):
+    """A source edited between the shipped-code check and the compile
+    is learned under the hash of the text that was compiled."""
+    path = tmp_path / "probe.py"
+    path.write_text("VALUE = 'old'\n")
+    finder = worker_mod._CodeFinder({})
+    loader = worker_mod._CodeLoader("repro.probe", str(path), finder)
+    read = loader.get_data
+    edits = []
+
+    def get_data(name):
+        data = read(name)
+        if name == str(path) and not edits:
+            edits.append(name)
+            path.write_text("VALUE = 'new'\n")
+        return data
+
+    loader.get_data = get_data
+    loaded = {}
+    exec(loader.get_code("repro.probe"), loaded)
+    digest, code = finder.learned[str(path)]
+    learned = {}
+    exec(marshal.loads(code), learned)
+    assert edits and learned["VALUE"] == loaded["VALUE"] == "new"
+    assert digest == source_hash(b"VALUE = 'new'\n")
+
+
 def test_stale_shipped_module_is_compiled_fresh(monkeypatch):
     """A shipped entry for a real pipeline module whose hash does not
     match would break every encode if it were served."""
@@ -420,6 +449,58 @@ def test_concurrent_cold_workers_fill_one_map(monkeypatch):
     direct = _signature(encode_fsm(benchmark("lion"), "ihybrid",
                                    cache="off").to_record())
     assert all(_signature(o["record"]) == direct for o in cold + [later])
+
+
+def test_pool_worker_starts_leave_the_lock_free(monkeypatch):
+    """With the map filled a start lasts until the child has read its
+    args.  Two pool workers start at once, and while they start the
+    pool lock stays free: another thread's checkin and /stats do not
+    wait for either boot."""
+    monkeypatch.setattr(worker_mod, "_CODE", {})
+    pool = WorkerPool(stats=ServerStats())
+    held = threading.Event()
+    entered = []
+    start = Worker._start
+
+    def held_start(self, child_end):
+        entered.append(self)
+        held.wait(60)
+        start(self, child_end)
+
+    try:
+        assert asyncio.run(pool.run(LION, 60.0))["status"] == "ok"
+        assert worker_mod._CODE
+        busy, started = pool._checkout("lion")  # the idle first worker
+        assert not started
+        monkeypatch.setattr(Worker, "_start", held_start)
+        new = []
+        checkouts = [threading.Thread(
+            target=lambda: new.append(pool._checkout(None)))
+            for _ in range(2)]
+        for thread in checkouts:
+            thread.start()
+        deadline = time.monotonic() + 30
+        while len(entered) < 2 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert len(entered) == 2  # both starts under way at once
+        checkin = threading.Thread(target=pool._checkin, args=(busy,))
+        checkin.start()
+        checkin.join(10)
+        blocked = checkin.is_alive()
+        pids = None if blocked else pool.live_pids()
+        held.set()
+        for thread in checkouts + [checkin]:
+            thread.join(60)
+        assert not blocked, "checkin waited for a worker's start"
+        assert pids == [busy.pid]  # the new workers register once started
+        assert sorted(w.pid for w, started in new if started) == \
+            sorted(w.pid for w in entered)
+        for worker, _ in new:
+            pool._checkin(worker)
+    finally:
+        held.set()
+        pool.shutdown()
+    assert multiprocessing.active_children() == []
 
 
 # the imports sit under the guard: a spawned worker re-imports this
