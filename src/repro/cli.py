@@ -21,18 +21,19 @@ import argparse
 import sys
 from typing import List, Optional
 
-# only what building the parser needs: each subcommand imports its own
-# machinery, and a spawned batch/serve worker re-runs this module as
-# __mp_main__, so every import here is paid once per worker as well
-from repro.encoding.options import ALGORITHMS, CACHE_POLICIES
+# a spawned batch/serve worker re-runs this module as __mp_main__
+# before its code finder exists, so what is imported here is compiled
+# in every worker and never shipped to it (DESIGN §6.6): main() imports
+# what building the parser needs, each subcommand its own machinery
 from repro.errors import ReproError, exit_code_for
-from repro.fsm.benchmarks import benchmark, benchmark_names
-from repro.fsm.kiss import parse_kiss
 
 
 def _load_fsm(args: argparse.Namespace):
     """The machine named by --benchmark or the KISS2 file argument;
     None (after printing the usage error) when neither is given."""
+    from repro.fsm.benchmarks import benchmark
+    from repro.fsm.kiss import parse_kiss
+
     if args.benchmark:
         return benchmark(args.benchmark)
     if args.file:
@@ -411,6 +412,8 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 
 
 def _cmd_list(_args: argparse.Namespace) -> int:
+    from repro.fsm.benchmarks import benchmark, benchmark_names
+
     for name in benchmark_names("all"):
         print(f"{name:12s} {benchmark(name)!r}")
     return 0
@@ -622,6 +625,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    from repro.encoding.options import ALGORITHMS, CACHE_POLICIES
+
     parser = argparse.ArgumentParser(
         prog="nova",
         description="NOVA state assignment (reproduction of Villa & "

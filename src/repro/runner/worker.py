@@ -37,9 +37,11 @@ started when concurrency grows, or any worker of a later run in a
 process that runs several (a library caller).  The first workers of a
 process still compile, and in a healthy one-shot ``nova batch``,
 ``nova table`` or ``nova bench run`` those are all of them.  What spawn
-imports before :func:`child_main` (``__mp_main__``: ``repro.cli`` and
-its imports under ``nova``) is compiled in every worker and never
-shipped; DESIGN §6.6 has the measured shares.
+imports before :func:`child_main` — this module with its imports, and
+the parent's main module again as ``__mp_main__`` — is compiled in
+every worker and never shipped, which is why :mod:`repro.cli` imports
+no pipeline module at its top level.  DESIGN §6.6 has the measured
+shares.
 
 A worker *retires* — exits, and is never handed another spec — after
 any attempt whose spec armed faults or whose outcome was not

@@ -108,6 +108,18 @@ def test_cli_help_skips_subcommand_machinery():
     assert out.splitlines()[-1] == "[]"
 
 
+def test_cli_import_leaves_the_pipeline_to_the_worker():
+    """A spawned worker re-imports the parent's main module, under
+    ``nova`` this one, before its code finder exists: what that loads
+    is compiled in every worker and never shipped to it."""
+    out = _run_python("import sys, repro.cli\n"
+                      "print(sorted(m for m in sys.modules"
+                      " if m.startswith('repro')))")
+    assert ast.literal_eval(out.splitlines()[-1]) == [
+        "repro", "repro._lazy", "repro._version", "repro.cli",
+        "repro.errors"]
+
+
 def _reexporting_packages() -> List:
     """(dotted name, ``__init__`` path) of each package with ``__all__``,
     plus the :mod:`repro.api` facade."""
