@@ -18,8 +18,13 @@ Public API highlights:
 
 from typing import TYPE_CHECKING
 
+from repro import _codemap
 from repro._lazy import lazy_exports
 from repro._version import __version__
+
+# every later repro import of the process goes into its map of compiled
+# code, which the workers it spawns are handed (repro._codemap)
+_codemap.install()
 
 if TYPE_CHECKING:
     from repro.cache import cache_clear, cache_info, cache_prune

@@ -70,7 +70,7 @@ _COUNTERS = (
     "cache_hit",            # encode-cache lookups answered from a tier
     "cache_miss",           # ... that fell through to a full recompute
     "cache_bytes",          # blob bytes moved to/from the disk tier
-    "modules_compiled",     # modules a worker compiled from source
+    "modules_compiled",     # modules a worker compiled (repro._codemap)
 )
 
 

@@ -20,28 +20,22 @@ after a worker's first: ~0.05 s for the interpreter and ``site``, and
 ~0.03 s to import this module (the packages on the way re-export
 lazily, :mod:`repro._lazy`).  The first encode of a worker also loads
 the pipeline, ~40 more ``repro`` modules for an ihybrid encode of lion.
-On a 2-vCPU host that first attempt took 0.09-0.14 s inside a worker
-that compiled them from source (under ``PYTHONDONTWRITEBYTECODE`` no
-``.pyc`` ever saves that), 0.03-0.04 s in one handed their code, and
-0.004 s warm.  So a parent keeps the code its workers compiled and ships
-it to every worker it starts later (:data:`_CODE`, :class:`_CodeFinder`):
-``repro.*`` modules only, each served only while
-``importlib.util.source_hash`` of its source on disk still matches (the
-checked hash-pyc rule), only to workers running the parent's
-executable (what spawn starts), and nothing is written to disk.  A
-worker reports what it compiled as ``modules_compiled``; after a
-parent's first workers that reads 0.  So only a worker started after an
-earlier worker of the same process has reported gains: a replacement
-(after a retire, a timeout kill or a crash), a service pool worker
-started when concurrency grows, or any worker of a later run in a
-process that runs several (a library caller).  The first workers of a
-process still compile, and in a healthy one-shot ``nova batch``,
-``nova table`` or ``nova bench run`` those are all of them.  What spawn
-imports before :func:`child_main` — this module with its imports, and
-the parent's main module again as ``__mp_main__`` — is compiled in
-every worker and never shipped, which is why :mod:`repro.cli` imports
-no pipeline module at its top level.  DESIGN §6.6 has the measured
-shares.
+Under ``PYTHONDONTWRITEBYTECODE`` no ``.pyc`` ever saves compiling
+them, so every process keeps the code of the ``repro`` modules it
+loaded, its own imports included, and :class:`Worker` passes that map
+to each worker it starts (:mod:`repro._codemap`).  The spawn target,
+:func:`repro._codemap.spawn_main`, puts the map in place before it
+imports this module, so a worker compiles only what it loads before
+the map arrives (``repro`` with its three stdlib-only helpers, and the
+parent's main module re-imported as ``__mp_main__``) and what neither
+its parent nor an earlier worker loaded; the code it compiled rides
+back on its next outcome.  A worker reports the modules it compiled as
+``modules_compiled``: on its first outcome all of them since its start
+but the four of ``import repro``, a fixed cost of every start.  A
+pipeline module shows up there only if the parent never imported it,
+and :mod:`repro.cli` imports none at its top level, since its
+``__mp_main__`` copy compiles in every worker.  DESIGN §6.6 has the
+measured shares.
 
 A worker *retires* — exits, and is never handed another spec — after
 any attempt whose spec armed faults or whose outcome was not
@@ -63,16 +57,12 @@ attempt ends with the worker's own report, ``crashed`` on EOF, or
 
 from __future__ import annotations
 
-from importlib.machinery import PathFinder, SourceFileLoader
-from importlib.util import source_hash
-import marshal
 from multiprocessing.connection import wait as conn_wait
-import sys
 import threading
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro import perf
+from repro import _codemap, perf
 from repro.errors import ReproError, error_to_dict
 from repro.testing import faults
 
@@ -90,13 +80,8 @@ KILLED_TIMEOUT = "timeout"
 ATTEMPT_KEYS = ("algorithm", "status", "killed", "exitcode", "error",
                 "elapsed", "pid")
 
-#: Code of the ``repro`` modules this process's workers compiled:
-#: source path -> (``source_hash`` of the source, marshalled code).
-#: Each worker started later gets a copy in its ``Process`` args.
-_CODE: Dict[str, Tuple[bytes, bytes]] = {}
-
-#: Outcome key under which a worker sends back the code it compiled;
-#: :meth:`Worker.recv` pops it into :data:`_CODE`.
+#: Outcome key under which a worker sends back the code it loaded
+#: beyond its parent's map; :meth:`Worker.recv` pops it into that map.
 _CODE_KEY = "compiled_code"
 
 
@@ -183,77 +168,22 @@ def _run_table(spec: Dict) -> Dict:
     return {"status": "ok", "record": {"row": row}}
 
 
-class _CodeLoader(SourceFileLoader):
-    """A source loader that serves shipped code while its source hash
-    matches, and otherwise loads as usual and remembers the result."""
+def child_main(conn) -> None:
+    """Worker-process loop: run specs from *conn* until retired.
 
-    def __init__(self, fullname: str, path: str,
-                 finder: "_CodeFinder") -> None:
-        super().__init__(fullname, path)
-        self.finder = finder
-        self._compiled: Optional[bytes] = None  # source_to_code's input
-
-    def get_code(self, fullname):
-        path = self.get_filename(fullname)
-        source = self.get_data(path)
-        entry = self.finder.shipped.get(path)
-        if entry is not None and entry[0] == source_hash(source):
-            return marshal.loads(entry[1])
-        self._compiled = None
-        code = super().get_code(fullname)  # a valid .pyc, else source
-        # the learned hash is that of the bytes the code came from: the
-        # ones compiled, or the source a .pyc was valid for if it did
-        # not change meanwhile
-        data = self._compiled
-        if data is None and self.get_data(path) == source:
-            data = source
-        if data is not None:
-            self.finder.learned[path] = (source_hash(data),
-                                         marshal.dumps(code))
-        return code
-
-    def source_to_code(  # type: ignore[override, misc]
-            self, data, path="<string>", *, _optimize=-1):
-        if perf.STATS is not None:
-            perf.STATS.modules_compiled += 1
-        self._compiled = data
-        return super().source_to_code(data, path, _optimize=_optimize)
-
-
-class _CodeFinder:
-    """Meta-path finder for ``repro.*`` in a worker: the normal
-    :class:`PathFinder` locates the module, :class:`_CodeLoader` loads
-    it.  Every other import, and any ``repro`` module that is not a
-    source file, is left to the normal path."""
-
-    def __init__(self, shipped: Dict[str, Tuple[bytes, bytes]]) -> None:
-        self.shipped = shipped
-        self.learned: Dict[str, Tuple[bytes, bytes]] = {}
-
-    def find_spec(self, fullname, path=None, target=None):
-        if fullname.partition(".")[0] != "repro":
-            return None
-        spec = PathFinder.find_spec(fullname, path, target)
-        if spec is None or type(spec.loader) is not SourceFileLoader:
-            return None
-        spec.loader = _CodeLoader(fullname, spec.origin, self)
-        return spec
-
-
-def child_main(conn, code: Dict[str, Tuple[bytes, bytes]]) -> None:
-    """Worker-process entry: run specs from *conn* until retired.
-
-    *code* is the parent's :data:`_CODE` (spawn runs the parent's
-    executable, so its marshal format is this interpreter's); code the
-    worker compiles beyond it rides back on its next outcome.  Exits
-    when the parent closes its end (EOF) or after an attempt that
+    Spawned through :func:`repro._codemap.spawn_main`, which put the
+    parent's map of compiled code in place first.  Each outcome carries
+    what the worker loaded beyond that map (:data:`_CODE_KEY`) and, as
+    its ``modules_compiled``, how many modules it compiled since the
+    previous outcome, or since its start on the first.  Exits when the
+    parent closes its end (EOF) or after an attempt that
     :func:`reusable` rejects.  Must stay exception-proof: any error
     that escapes ``execute`` is itself serialized, and a send failure
     (parent already gone) exits quietly — an orphan must never corrupt
     anything.
     """
-    finder = _CodeFinder(code)
-    sys.meta_path.insert(0, finder)
+    codemap = _codemap.MAP
+    reported = 0
     try:
         while True:
             try:
@@ -267,8 +197,12 @@ def child_main(conn, code: Dict[str, Tuple[bytes, bytes]]) -> None:
                            "algorithm": spec.get("algorithm"),
                            "status": "error", "error": error_to_dict(exc),
                            "perf": {}, "elapsed": 0.0}
-            if finder.learned:
-                outcome[_CODE_KEY], finder.learned = finder.learned, {}
+            learned = codemap.take_learned()
+            if learned:
+                outcome[_CODE_KEY] = learned
+            compiled, reported = codemap.compiled - reported, codemap.compiled
+            if compiled:
+                outcome["perf"]["modules_compiled"] = compiled
             conn.send(outcome)
             if not reusable(spec, outcome):
                 return
@@ -297,8 +231,8 @@ class Worker:
 
     def __init__(self, ctx) -> None:
         self.conn, child_end = ctx.Pipe()
-        self.proc = ctx.Process(target=child_main,
-                                args=(child_end, dict(_CODE)),
+        self.proc = ctx.Process(target=_codemap.spawn_main,
+                                args=(child_end, _codemap.MAP.shipped()),
                                 daemon=True)
         self._start_error: Optional[Exception] = None
         self._starter = threading.Thread(target=self._start,
@@ -351,14 +285,15 @@ class Worker:
     def recv(self) -> Optional[Dict]:
         """The attempt's outcome once :attr:`conn` is ready, or None if
         the worker died without one (it is then retired and reaped, so
-        :attr:`exitcode` is set).  Code the worker compiled goes into
-        :data:`_CODE` and off the outcome."""
+        :attr:`exitcode` is set).  Code the worker loaded goes into
+        this process's map (:mod:`repro._codemap`) and off the
+        outcome."""
         try:
             outcome = self.conn.recv()
         except (EOFError, OSError):
             self.retire()
             return None
-        _CODE.update(outcome.pop(_CODE_KEY, None) or {})
+        _codemap.MAP.update(outcome.pop(_CODE_KEY, None) or {})
         self.reusable = reusable(self._spec, outcome)
         return outcome
 

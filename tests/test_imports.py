@@ -4,7 +4,7 @@ Every worker the batch runner or the encode service spawns starts a new
 interpreter and compiles what it imports, so the modules an import
 pulls in are a cost paid once per process.  Package ``__init__`` modules
 that sit on the worker's path re-export lazily (:mod:`repro._lazy`);
-these tests pin the three properties that relies on:
+these tests pin the properties that relies on:
 
 * each entry module imports on its own, whatever else is loaded (an
   import cycle hidden by the order the eager package imports used to
@@ -13,7 +13,10 @@ these tests pin the three properties that relies on:
   run — named modules, not timings;
 * every re-exported name is listed by ``dir()`` and is the defining
   module's object, never the same-named submodule, also when that
-  submodule was imported first.
+  submodule was imported first;
+* ``import repro`` loads only the standard library and the package's
+  stdlib-only helpers, among them :mod:`repro._codemap`, which a
+  spawned worker loads before its parent's compiled code arrives.
 
 Each check runs in a subprocess because ``sys.modules`` of the test
 process already holds most of the package.
@@ -116,8 +119,49 @@ def test_cli_import_leaves_the_pipeline_to_the_worker():
                       "print(sorted(m for m in sys.modules"
                       " if m.startswith('repro')))")
     assert ast.literal_eval(out.splitlines()[-1]) == [
-        "repro", "repro._lazy", "repro._version", "repro.cli",
-        "repro.errors"]
+        "repro", "repro._codemap", "repro._lazy", "repro._version",
+        "repro.cli", "repro.errors"]
+
+
+#: What ``import repro`` loads: a spawned worker loads these before its
+#: parent's map of compiled code arrives (:mod:`repro._codemap`).
+REPRO_BOOT = ["repro", "repro._codemap", "repro._lazy", "repro._version"]
+
+_BOOT_SCRIPT = """
+import json, sys
+before = set(sys.modules)
+import repro
+print(json.dumps({"repro": sorted(m for m in sys.modules
+                                  if m.partition(".")[0] == "repro"),
+                  "new": sorted(set(sys.modules) - before)}))
+"""
+
+
+def _top_level_imports(path: Path) -> List[str]:
+    """The top-level package of every module that *path* imports at
+    its own top level."""
+    names = []
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            assert node.level == 0, "relative import"
+            names.append(node.module or "")
+    return [name.partition(".")[0] for name in names]
+
+
+def test_repro_import_loads_only_the_stdlib_boot_modules():
+    """The worker's spawn target lives in :mod:`repro._codemap`: what
+    ``import repro`` loads compiles in every worker before the map of
+    compiled code that module hands over is in place, so it is the
+    package's three helpers and the standard library, nothing else."""
+    out = json.loads(_run_python(_BOOT_SCRIPT).splitlines()[-1])
+    assert out["repro"] == REPRO_BOOT
+    stdlib = set(sys.stdlib_module_names)
+    assert [m for m in out["new"]
+            if m.partition(".")[0] not in stdlib | {"repro"}] == []
+    imported = _top_level_imports(SRC / "repro" / "_codemap.py")
+    assert imported and set(imported) <= stdlib
 
 
 def _reexporting_packages() -> List:

@@ -7,9 +7,11 @@ already dead: killed or crashed), so the next attempt runs on a new
 pid.  The journal records each attempt's worker pid, which is what
 these tests read.
 
-A parent also ships the code its workers compiled to the workers it
-starts later; the last section checks which code is served, that a
-replacement worker compiles nothing, and that nothing is written.
+Every process also keeps the code of the ``repro`` modules it loaded
+and hands it to each worker it starts (:mod:`repro._codemap`); the last
+section checks which code is served, that the latest entry wins, that
+a worker compiles only what its parent never loaded, and that nothing
+is written.
 """
 
 import asyncio
@@ -27,7 +29,7 @@ import time
 
 import pytest
 
-from repro import perf
+from repro._codemap import MAP, CodeMap, _CodeLoader
 from repro.encoding.nova import encode_fsm
 from repro.fsm.benchmarks import SMALL, benchmark
 from repro.runner import BatchRunner, BatchTask
@@ -223,7 +225,7 @@ def test_pool_retires_a_worker_after_an_error(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# compiled code shipped from the parent to later workers
+# compiled code handed from the parent to its workers
 # ----------------------------------------------------------------------
 SRC = Path(__file__).resolve().parents[1] / "src"
 LION = {"task": "lion", "machine": "lion", "algorithm": "ihybrid",
@@ -243,16 +245,19 @@ def _attempt(worker, spec):
 
 
 def test_second_worker_compiles_nothing_and_sends_nothing(monkeypatch):
-    monkeypatch.setattr(worker_mod, "_CODE", {})
+    monkeypatch.setattr(MAP, "code", {})
     ctx = multiprocessing.get_context("spawn")
     first = Worker(ctx)
     try:
-        assert _attempt(first, LION)["status"] == "ok"
+        cold = _attempt(first, LION)
     finally:
         first.retire()
-    shipped = dict(worker_mod._CODE)
+    assert cold["status"] == "ok"
+    shipped = dict(MAP.code)
     nova_py = str(SRC / "repro" / "encoding" / "nova.py")
-    assert nova_py in shipped
+    worker_py = str(SRC / "repro" / "runner" / "worker.py")
+    # the worker module's own imports go through the map as well
+    assert nova_py in shipped and worker_py in shipped
     assert all(Path(path).is_relative_to(SRC / "repro") for path in shipped)
 
     second = Worker(ctx)
@@ -264,44 +269,52 @@ def test_second_worker_compiles_nothing_and_sends_nothing(monkeypatch):
     assert raw["status"] == "ok"
     assert _compiled(raw) == 0
     assert worker_mod._CODE_KEY not in raw
-    assert worker_mod._CODE == shipped
+    assert MAP.code == shipped
     direct = encode_fsm(benchmark("lion"), "ihybrid", cache="off")
     assert _signature(raw["record"]) == _signature(direct.to_record())
 
 
+def _load_probe(path, entry):
+    """Load *path* as ``repro.probe`` with a map holding *entry* for it:
+    the value it sets, the modules compiled, the entries learned."""
+    codemap = CodeMap({str(path): entry})
+    loader = _CodeLoader("repro.probe", str(path), codemap)
+    namespace = {}
+    exec(loader.get_code("repro.probe"), namespace)
+    return namespace["VALUE"], codemap.compiled, codemap.take_learned()
+
+
 def test_code_is_served_only_while_the_source_hash_matches(tmp_path):
-    path = tmp_path / "probe.py"
-    path.write_text("VALUE = 'on disk'\n")
-    stale = marshal.dumps(compile("VALUE = 'shipped'\n", str(path), "exec"))
-    digest = source_hash(path.read_bytes())
+    """An entry's code is marshalled as shipped to a worker, or a code
+    object as a process keeps what it compiled itself; a source file
+    each, so that neither loads a .pyc the other wrote."""
+    for form in ("marshalled", "code object"):
+        path = tmp_path / form.replace(" ", "_") / "probe.py"
+        path.parent.mkdir()
+        path.write_text("VALUE = 'on disk'\n")
+        stale = compile("VALUE = 'shipped'\n", str(path), "exec")
+        code = marshal.dumps(stale) if form == "marshalled" else stale
+        digest = source_hash(path.read_bytes())
 
-    def load(shipped_hash):
-        finder = worker_mod._CodeFinder({str(path): (shipped_hash, stale)})
-        loader = worker_mod._CodeLoader("repro.probe", str(path), finder)
-        with perf.collect() as stats:
-            namespace = {}
-            exec(loader.get_code("repro.probe"), namespace)
-        return namespace["VALUE"], stats.modules_compiled, finder.learned
+        value, compiled, learned = _load_probe(path, (digest, code))
+        assert (value, compiled, learned) == ("shipped", 0, {}), form
 
-    value, compiled, learned = load(digest)
-    assert (value, compiled, learned) == ("shipped", 0, {})
-
-    value, compiled, learned = load(b"\0" * 8)
-    assert (value, compiled) == ("on disk", 1)
-    assert list(learned) == [str(path)]
-    assert learned[str(path)][0] == digest
-    fresh = {}
-    exec(marshal.loads(learned[str(path)][1]), fresh)
-    assert fresh["VALUE"] == "on disk"
+        value, compiled, learned = _load_probe(path, (b"\0" * 8, code))
+        assert (value, compiled) == ("on disk", 1), form
+        assert list(learned) == [str(path)]
+        assert learned[str(path)][0] == digest
+        fresh = {}
+        exec(marshal.loads(learned[str(path)][1]), fresh)
+        assert fresh["VALUE"] == "on disk"
 
 
 def test_learned_hash_is_that_of_the_compiled_source(tmp_path):
-    """A source edited between the shipped-code check and the compile
-    is learned under the hash of the text that was compiled."""
+    """A source edited between the map's check and the compile is
+    learned under the hash of the text that was compiled."""
     path = tmp_path / "probe.py"
     path.write_text("VALUE = 'old'\n")
-    finder = worker_mod._CodeFinder({})
-    loader = worker_mod._CodeLoader("repro.probe", str(path), finder)
+    codemap = CodeMap()
+    loader = _CodeLoader("repro.probe", str(path), codemap)
     read = loader.get_data
     edits = []
 
@@ -315,7 +328,7 @@ def test_learned_hash_is_that_of_the_compiled_source(tmp_path):
     loader.get_data = get_data
     loaded = {}
     exec(loader.get_code("repro.probe"), loaded)
-    digest, code = finder.learned[str(path)]
+    digest, code = codemap.take_learned()[str(path)]
     learned = {}
     exec(marshal.loads(code), learned)
     assert edits and learned["VALUE"] == loaded["VALUE"] == "new"
@@ -328,8 +341,7 @@ def test_stale_shipped_module_is_compiled_fresh(monkeypatch):
     nova_py = str(SRC / "repro" / "encoding" / "nova.py")
     broken = marshal.dumps(compile("raise RuntimeError('stale code')",
                                    nova_py, "exec"))
-    monkeypatch.setattr(worker_mod, "_CODE",
-                        {nova_py: (b"\0" * 8, broken)})
+    monkeypatch.setitem(MAP.code, nova_py, (b"\0" * 8, broken))
     worker = Worker(multiprocessing.get_context("spawn"))
     try:
         outcome = _attempt(worker, LION)
@@ -337,30 +349,79 @@ def test_stale_shipped_module_is_compiled_fresh(monkeypatch):
         worker.retire()
     assert outcome["status"] == "ok", outcome.get("error")
     source = Path(nova_py).read_bytes()
-    assert worker_mod._CODE[nova_py][0] == source_hash(source)
+    assert MAP.code[nova_py][0] == source_hash(source)
 
 
 def test_finder_leaves_other_imports_to_the_normal_path(tmp_path,
                                                        monkeypatch):
-    finder = worker_mod._CodeFinder({})
+    codemap = CodeMap()
     for name in ("json", "multiprocessing.connection", "reprox",
                  "repro_probe"):
-        assert finder.find_spec(name) is None, name
+        assert codemap.find_spec(name) is None, name
     import repro.encoding
 
-    spec = finder.find_spec("repro.encoding.nova", repro.encoding.__path__)
-    assert isinstance(spec.loader, worker_mod._CodeLoader)
+    spec = codemap.find_spec("repro.encoding.nova", repro.encoding.__path__)
+    assert isinstance(spec.loader, _CodeLoader)
     assert spec.origin == str(SRC / "repro" / "encoding" / "nova.py")
 
     (tmp_path / "repro_probe.py").write_text("VALUE = 1\n")
     monkeypatch.syspath_prepend(str(tmp_path))
-    monkeypatch.setattr(sys, "meta_path", [finder] + sys.meta_path)
+    monkeypatch.setattr(sys, "meta_path", [codemap] + sys.meta_path)
     monkeypatch.delitem(sys.modules, "repro_probe", raising=False)
     import repro_probe
 
     assert type(repro_probe.__loader__) is SourceFileLoader
-    assert finder.learned == {}
+    assert (codemap.code, codemap.learned) == ({}, set())
     monkeypatch.delitem(sys.modules, "repro_probe")
+
+
+def _warm_map():
+    """Load what a lion encode loads into this process, so the map a
+    worker is handed holds all of it."""
+    encode_fsm(benchmark("lion"), "ihybrid", cache="off")
+
+
+def test_worker_entry_replaces_a_stale_parent_entry(monkeypatch):
+    """The parent keeps a code object for what it compiled itself.  When
+    that entry is stale, a worker loads the source on disk, its entry
+    replaces the parent's, and the next worker is served it."""
+    _warm_map()
+    verify_py = str(SRC / "repro" / "encoding" / "verify.py")
+    old = compile("raise RuntimeError('stale code')", verify_py, "exec")
+    monkeypatch.setitem(MAP.code, verify_py, (b"\0" * 8, old))
+    ctx = multiprocessing.get_context("spawn")
+    outcomes, entries = [], []
+    for _ in range(2):
+        worker = Worker(ctx)
+        try:
+            outcomes.append(_attempt(worker, LION))
+        finally:
+            worker.retire()
+        entries.append(MAP.code[verify_py])
+    assert [o["status"] for o in outcomes] == ["ok", "ok"]
+    assert _compiled(outcomes[1]) == 0
+    # the first worker's entry, served to the second, which sent none
+    assert entries[0][0] == source_hash(Path(verify_py).read_bytes())
+    assert entries[1] is entries[0]
+
+
+def test_latest_entry_wins():
+    path = "/src/repro/probe.py"
+    old = (b"old-hash", compile("X = 1", path, "exec"))
+    new = (b"new-hash", marshal.dumps(compile("X = 2", path, "exec")))
+    parent = CodeMap({path: old})
+    parent.update({path: new})  # a worker's report
+    assert parent.code[path] == new
+    assert parent.shipped() == {path: new}
+
+    # a worker keeps what it loaded before the parent's map came, and
+    # sends it back unless the parent has it under the same hash
+    for shipped, sent in (({path: old}, [path]), ({path: new}, [])):
+        worker = CodeMap()
+        worker.learn(path, new[0], marshal.loads(new[1]), compiled=True)
+        worker.load(shipped)
+        assert worker.code[path][0] == new[0]
+        assert list(worker.take_learned()) == sent
 
 
 def _replacement_tasks(spoiler):
@@ -391,7 +452,7 @@ def test_replacement_batch_worker_gets_the_code(tmp_path, spoiler):
 
 
 def test_replacement_pool_worker_gets_the_code(monkeypatch):
-    monkeypatch.setattr(worker_mod, "_CODE", {})
+    monkeypatch.setattr(MAP, "code", {})
     stats = ServerStats()
     pool = WorkerPool(stats=stats)
     crash = dict(LION, faults=[Fault("encode", action="exit").to_dict()])
@@ -409,7 +470,7 @@ def test_replacement_pool_worker_gets_the_code(monkeypatch):
     assert stats.worker_starts == 2
     assert after["pid"] != first["pid"]
     # the first worker's code went into the map, not into its outcome
-    assert worker_mod._CODE
+    assert MAP.code
     assert all(worker_mod._CODE_KEY not in outcome
                for outcome in (first, crashed, after))
     assert _compiled(after) == 0
@@ -421,7 +482,7 @@ def test_concurrent_cold_workers_fill_one_map(monkeypatch):
     """More cold pool workers than cores start and report at once, with
     thread switches forced often: no worker's code may be lost from the
     map, so a worker started afterwards compiles nothing."""
-    monkeypatch.setattr(worker_mod, "_CODE", {})
+    monkeypatch.setattr(MAP, "code", {})
     switch = sys.getswitchinterval()
 
     async def burst(pool, n):
@@ -456,7 +517,7 @@ def test_pool_worker_starts_leave_the_lock_free(monkeypatch):
     args.  Two pool workers start at once, and while they start the
     pool lock stays free: another thread's checkin and /stats do not
     wait for either boot."""
-    monkeypatch.setattr(worker_mod, "_CODE", {})
+    monkeypatch.setattr(MAP, "code", {})
     pool = WorkerPool(stats=ServerStats())
     held = threading.Event()
     entered = []
@@ -469,7 +530,7 @@ def test_pool_worker_starts_leave_the_lock_free(monkeypatch):
 
     try:
         assert asyncio.run(pool.run(LION, 60.0))["status"] == "ok"
-        assert worker_mod._CODE
+        assert MAP.code
         busy, started = pool._checkout("lion")  # the idle first worker
         assert not started
         monkeypatch.setattr(Worker, "_start", held_start)
@@ -504,12 +565,13 @@ def test_pool_worker_starts_leave_the_lock_free(monkeypatch):
 
 
 # the imports sit under the guard: a spawned worker re-imports this
-# script's top level before its code finder is installed
+# script's top level before its parent's map of compiled code arrives
 _NO_WRITE_SCRIPT = """
 import json, sys
 
 if __name__ == "__main__":
     from repro.runner import BatchRunner, BatchTask
+    from repro.runner.worker import execute
 
     compiled = []
     for run in ("first", "second"):
@@ -519,7 +581,13 @@ if __name__ == "__main__":
                              retries=0).run()
         assert report.ok
         compiled.append(report.perf.modules_compiled)
-    print(json.dumps(compiled))
+    # the modules the worker loaded and this process never imported:
+    # those the same tasks import when run here
+    loaded = set(sys.modules)
+    for task in tasks:
+        assert execute(task.spec())["status"] == "ok"
+    never = sorted(set(sys.modules) - loaded)
+    print(json.dumps({"compiled": compiled, "never": never}))
 """
 
 
@@ -541,7 +609,9 @@ def test_batch_under_dont_write_bytecode_writes_nothing(tmp_path):
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert _tree(SRC) == before
-    first, second = json.loads(proc.stdout.splitlines()[-1])
+    out = json.loads(proc.stdout.splitlines()[-1])
+    (first, second), never = out["compiled"], out["never"]
+    assert all(m.startswith("repro.") for m in never), never
     if not any(SRC.rglob("*.pyc")):  # nothing to load but the sources
-        assert first > 0
+        assert first == len(never) > 0, never
     assert second == 0
